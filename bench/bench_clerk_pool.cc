@@ -1,10 +1,11 @@
 // E20: shared-channel clerk pool — K clerks' Transceive pairs over ONE
-// pipelined v2 socket, against the same in-process rrqd-equivalent
+// pipelined socket, against the same in-process rrqd-equivalent
 // service as E18. Four client models, worst to best:
 //
-//   serialized_v1    one v1 channel per clerk thread, sync Transceive
-//                    (the PR 3 shape rebuilt from clerks) — "before";
-//   pool_sync        K clerk threads, sync Transceive, ONE shared v2
+//   serialized       one channel per clerk thread, sync Transceive, one
+//                    call in flight per socket (the PR 3 shape rebuilt
+//                    from clerks) — "before";
+//   pool_sync        K clerk threads, sync Transceive, ONE shared
 //                    channel (ClerkPool, demux by correlation id);
 //   pool_pipelined   K closed-loop TransceiveAsync chains on the pool,
 //                    each clerk's next pair launched from the demux
@@ -53,9 +54,9 @@ using bench::Fmt;
 int pairs_per_clerk = 2000;
 int trials = 3;
 
-// The committed PR 3 baseline this PR's acceptance gate is measured
-// against: E18's serialized_v1 @ 8 threads as of the PR 3 tree
-// (BENCH_net.json history). The pool @ 8 must sustain at least 2x it.
+// Historical baseline: E18's serialized wire-v1 throughput @ 8
+// threads as of the PR 3 tree (BENCH_net.json history). The pool @ 8
+// was accepted for sustaining at least 2x it.
 constexpr double kPr3SerializedAt8 = 64474.0;
 
 void Die(const char* what, const Status& status) {
@@ -77,8 +78,8 @@ client::ClerkPoolOptions PoolOptions(uint16_t port, int clerks,
   return options;
 }
 
-// K clerk threads, each with its OWN v1 channel and one sync
-// Transceive (Send RPC + Receive RPC) in flight — the PR 3 model.
+// K clerk threads, each with its OWN channel and one sync Transceive
+// (Send RPC + Receive RPC) in flight — the PR 3 model.
 double MeasureSerializedClerks(uint16_t port, int clerks) {
   std::vector<std::thread> workers;
   bench::Stopwatch watch;
@@ -86,16 +87,15 @@ double MeasureSerializedClerks(uint16_t port, int clerks) {
     workers.emplace_back([port, t]() {
       net::TcpChannelOptions options;
       options.port = port;
-      options.max_protocol_version = net::kProtocolV1;
       net::TcpChannel channel(options);
       net::ChannelQueueApi api(&channel);
-      const std::string queue = "pool.v1." + std::to_string(t);
+      const std::string queue = "pool.serial." + std::to_string(t);
       auto created = api.CreateQueue(queue);
       if (!created.ok() && !created.IsAlreadyExists()) {
         Die("create queue", created);
       }
       client::ClerkOptions clerk_options;
-      clerk_options.client_id = "v1clerk-" + std::to_string(t);
+      clerk_options.client_id = "serialclerk-" + std::to_string(t);
       clerk_options.request_queue = queue;
       clerk_options.reply_queue = queue;
       clerk_options.api = &api;
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   }
 
   printf("E20: shared-channel clerk pool — K clerks' transceive pairs on\n"
-         "one pipelined socket vs one v1 socket each%s\n\n",
+         "one pipelined socket vs one socket each%s\n\n",
          smoke ? " [smoke]" : "");
 
   queue::QueueRepository repo("qm", {});
@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
     const double ops = BestOf([&] {
       return MeasureSerializedClerks(port, clerks);
     });
-    table.AddRow({"serialized_v1", std::to_string(clerks),
+    table.AddRow({"serialized", std::to_string(clerks),
                   std::to_string(clerks), Fmt(ops, 0), vs_baseline(ops)});
     add_point(&serialized_json, clerks, ops);
   }
@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
     std::string json =
         "{\n  \"experiment\": \"clerk_pool\",\n"
         "  \"pr3_serialized_8_baseline\": " + Fmt(kPr3SerializedAt8, 0) +
-        ",\n  \"serialized_v1\": [\n" + serialized_json + "\n  ],\n" +
+        ",\n  \"serialized\": [\n" + serialized_json + "\n  ],\n" +
         "  \"pool_sync\": [\n" + sync_json + "\n  ],\n" +
         "  \"pool_pipelined\": [\n" + pipelined_json + "\n  ],\n" +
         "  \"pool_overlapped\": [\n" + overlapped_json + "\n  ],\n" +

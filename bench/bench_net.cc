@@ -4,11 +4,11 @@
 // backends (epoll readiness loops vs io_uring submission/completion
 // rings, DESIGN.md §13):
 //
-//   serialized_v1   one v1 channel per clerk thread, one call in
-//                   flight per connection (the PR 3 protocol) — the
-//                   "before" baseline;
+//   serialized      one channel per clerk thread, one call in flight
+//                   per connection (a depth-1 channel, the shape of
+//                   the PR 3 protocol) — the "before" baseline;
 //   shared_channel  every clerk thread issues synchronous calls on ONE
-//                   multiplexed v2 channel (demuxed by correlation id);
+//                   multiplexed channel (demuxed by correlation id);
 //   pipelined       K asynchronous call chains in flight per channel ×
 //                   M channels (including a 1×32 deep pipeline), the
 //                   wire kept full instead of idling a round trip per
@@ -129,9 +129,9 @@ struct Tput {
 uint64_t StatsWaits(const net::IoLoopStats& s) { return s.waits; }
 
 // Synchronous Enqueue+Dequeue pairs from `threads` clerks. With
-// `shared_channel` each clerk calls through one multiplexed v2
-// channel; otherwise each clerk owns a v1 channel (one call in flight
-// per connection — the serialized PR 3 model).
+// `shared_channel` every clerk calls through one multiplexed channel;
+// otherwise each clerk owns a channel with one call in flight (the
+// serialized PR 3 model).
 Tput MeasureSyncThroughput(net::TcpServer* server, net::IoBackendKind backend,
                            int threads, bool shared_channel) {
   net::TcpChannelOptions options;
@@ -142,8 +142,6 @@ Tput MeasureSyncThroughput(net::TcpServer* server, net::IoBackendKind backend,
   if (shared_channel) {
     shared = std::make_unique<net::TcpChannel>(options);
     shared_api = std::make_unique<net::ChannelQueueApi>(shared.get());
-  } else {
-    options.max_protocol_version = net::kProtocolV1;
   }
   const net::IoLoopStats server_before = server->io_stats();
   std::atomic<uint64_t> client_waits{0};
@@ -523,7 +521,7 @@ int main(int argc, char** argv) {
                            "ops/s", "waits/pair", "iosys/pair"});
   for (const auto& r : all) {
     for (const auto& [threads, t] : r.serialized) {
-      tput_table.AddRow({"serialized v1", r.server_backend,
+      tput_table.AddRow({"serialized", r.server_backend,
                          std::to_string(threads), std::to_string(threads),
                          Fmt(t.ops_per_sec, 0),
                          Fmt(PerPair(t.waits, t.pairs), 2),
@@ -597,7 +595,7 @@ int main(int argc, char** argv) {
               latency_json(r.depth_latency) + ",\n";
       json += "      \"tcp_read_latency\": " + latency_json(r.read_latency) +
               ",\n";
-      json += "      \"serialized_v1\": [\n";
+      json += "      \"serialized\": [\n";
       for (size_t i = 0; i < r.serialized.size(); ++i) {
         const auto& [threads, t] = r.serialized[i];
         json += "        {\"threads\": " + std::to_string(threads) + ", " +

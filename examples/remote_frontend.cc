@@ -19,7 +19,8 @@
 
 #include "client/reliable_client.h"
 #include "core/property_checker.h"
-#include "net/remote_queue_api.h"
+#include "net/queue_wire.h"
+#include "net/tcp_transport.h"
 #include "testing/subprocess.h"
 
 using rrq::Result;
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
   channel_options.host = host;
   channel_options.port = port;
   channel_options.max_connect_attempts = 25;
-  net::TcpRemoteQueueApi api(channel_options);
+  net::TcpChannel channel(channel_options);
+  net::ChannelQueueApi api(&channel);
 
   // Out-of-process clients provision their own reply queue.
   if (Status s = api.CreateQueue("reply.front-end");
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
     }
   }
   printf("Reconnects used by the channel: %llu\n",
-         static_cast<unsigned long long>(api.channel()->connects()));
+         static_cast<unsigned long long>(channel.connects()));
 
   (void)front_end.Stop();
   if (own_daemon) {

@@ -21,7 +21,7 @@ namespace rrq::client {
 
 struct ClerkPoolOptions {
   /// Where the daemon lives. The pool owns exactly one TcpChannel built
-  /// from this; on a v2 daemon every clerk's ops multiplex on it.
+  /// from this; every clerk's ops multiplex on it.
   net::TcpChannelOptions channel;
   /// Number of clerks sharing the channel.
   int clerks = 8;
@@ -58,7 +58,7 @@ struct ClerkPoolOptions {
 /// writer and are fanned back out by the demux reader. Three layers of
 /// demultiplexing cooperate:
 ///
-///   correlation id → pending call   (TcpChannel, wire v2)
+///   correlation id → pending call   (TcpChannel)
 ///   reply queue + registrant → clerk (the queue manager itself)
 ///   rid tag → request               (the clerk protocol, Fig 5)
 ///

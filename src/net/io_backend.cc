@@ -1,7 +1,7 @@
 #include "net/io_backend.h"
 
+#include <sys/socket.h>
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include <cerrno>
 
@@ -73,7 +73,13 @@ void FlushOutboxLocked(ServerConn* conn, IoCounters* counters) {
       iov[cnt].iov_len = b.size() - off;
       if (++cnt == 64) break;
     }
-    const ssize_t n = writev(conn->fd, iov, cnt);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(cnt);
+    // sendmsg rather than writev for MSG_NOSIGNAL: a peer that reset
+    // the connection costs this connection an EPIPE, not the whole
+    // process a SIGPIPE.
+    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (counters) counters->sends.fetch_add(1, std::memory_order_relaxed);
     if (n < 0) {
       if (errno == EINTR) continue;

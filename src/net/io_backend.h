@@ -91,20 +91,11 @@ struct IoLoopStats {
 
 IoLoopStats SnapshotIoCounters(const char* backend, const IoCounters& c);
 
-/// One decoded request awaiting dispatch (moved verbatim from
-/// tcp_server.cc so both the server and the backends can name it).
-struct ServerTask {
-  unsigned char kind = 0;
-  uint64_t corr_id = 0;
-  std::string body;
-};
-
-/// Per-connection server state. Protocol fields (reader, version) are
-/// loop-thread-only; the outbox and flush flags follow DESIGN.md §11.
+/// Per-connection server state. The frame reader is loop-thread-only;
+/// the outbox and flush flags follow DESIGN.md §11.
 struct ServerConn {
   int fd = -1;
-  FrameReader reader;    // loop thread only
-  uint32_t version = 0;  // 0 until hello; loop thread only
+  FrameReader reader;  // loop thread only
 
   rrq::Mutex mu;
   bool closed GUARDED_BY(mu) = false;
@@ -115,19 +106,15 @@ struct ServerConn {
   std::deque<std::string> outbox GUARDED_BY(mu);
   size_t head_off GUARDED_BY(mu) = 0;  // bytes of outbox.front() already sent
 
-  // v1 connections process strictly one call at a time.
-  bool v1_busy GUARDED_BY(mu) = false;
-  std::deque<ServerTask> v1_backlog GUARDED_BY(mu);
-
   // Opaque per-connection backend bookkeeping (uring arming state,
   // in-flight writev buffers). Loop thread only.
   std::shared_ptr<void> backend_state;
 };
 
-/// Drains conn->outbox with writev until empty, EAGAIN (sets
+/// Drains conn->outbox with vectored sends until empty, EAGAIN (sets
 /// want_write so the backend re-arms write interest), or a hard error
 /// (sets write_failed). Shared by worker-side reply flushes and the
-/// epoll backend's writable re-entry. Counts each writev into `sends`.
+/// epoll backend's writable re-entry. Counts each send into `sends`.
 void FlushOutboxLocked(ServerConn* conn, IoCounters* counters) REQUIRES(conn->mu);
 
 /// Event-loop mechanics behind TcpServer. All methods except Wake()

@@ -126,10 +126,10 @@ class QueueServiceDispatcher {
 };
 
 /// queue::QueueApi over any Channel speaking the byte protocol — the
-/// client side, shared by the simulated comm::RemoteQueueApi and the
-/// TCP-backed TcpRemoteQueueApi. Transport failures surface as
-/// Unavailable; the clerk resolves the resulting uncertainty through
-/// reconnection and persistent registration, never blind retry.
+/// client side, shared by the simulated comm::RemoteQueueApi and every
+/// TCP client (over a TcpChannel the caller owns). Transport failures
+/// surface as Unavailable; the clerk resolves the resulting uncertainty
+/// through reconnection and persistent registration, never blind retry.
 ///
 /// Holds no per-call state, so it is exactly as thread-safe as its
 /// channel: over a multiplexed TcpChannel, one shared ChannelQueueApi
@@ -161,7 +161,7 @@ class ChannelQueueApi final : public queue::QueueApi {
                            queue::ElementId eid) override;
 
   // ---- Pipelined variants -------------------------------------------
-  // True wire concurrency over a v2 channel: multiple ops in flight
+  // True wire concurrency over a TcpChannel: multiple ops in flight
   // from a single thread, completions demuxed by correlation id.
 
   void EnqueueAsync(const std::string& queue, const Slice& contents,

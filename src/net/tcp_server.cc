@@ -22,12 +22,11 @@
 //     handler after the peer hung up writes to nothing: `closed` is
 //     checked under the same mutex that guards the fd.
 //
-// v1 connections (first frame is kMsgCall/kMsgOneWay) keep the PR 3
-// contract — one request at a time, in order — via a per-connection
-// backlog chain: a new task runs only when the previous one finished.
-// v2 connections dispatch every decoded call straight to the pool, so
-// concurrent calls from one socket execute in parallel and their
-// commits meet in the WAL's group-commit window.
+// Every decoded call goes straight to the pool, so concurrent calls
+// from one socket execute in parallel and their commits meet in the
+// WAL's group-commit window. Replies echo the call's correlation id
+// (net/wire.h), so they leave in completion order. A frame of any kind
+// but kMsgCall or kMsgOneWay closes the connection as a protocol error.
 
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -38,6 +37,7 @@
 
 #include "net/socket_util.h"
 #include "net/tcp_transport.h"
+#include "net/wire.h"
 #include "util/coding.h"
 #include "util/logging.h"
 
@@ -47,6 +47,15 @@ using internal::Errno;
 using internal::MakeAddr;
 using internal::SetNoDelay;
 using internal::SetNonBlocking;
+
+namespace {
+
+// Cap on elastic threads for blocking-hinted requests (see
+// TcpServer::BlockingHint); past it such requests fall back to the
+// bounded pool.
+constexpr int kMaxBlockingThreads = 64;
+
+}  // namespace
 
 TcpServer::TcpServer(TcpServerOptions options, RpcHandler handler)
     : options_(std::move(options)), handler_(std::move(handler)) {}
@@ -175,7 +184,15 @@ void TcpServer::Stop() {
     close(conn->fd);
   }
   active_conns_.store(0, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) close(listen_fd_);
+  if (listen_fd_ >= 0) {
+    // A uring multishot accept holds the listening socket until the
+    // kernel finishes tearing the ring down, which it does
+    // asynchronously. Until then connects would still succeed into the
+    // backlog, and a client's request bytes would go to a server that
+    // will never read them. shutdown() stops the listener now.
+    shutdown(listen_fd_, SHUT_RDWR);
+    close(listen_fd_);
+  }
   if (wake_fd_ >= 0) close(wake_fd_);
   listen_fd_ = wake_fd_ = -1;
 }
@@ -275,70 +292,21 @@ bool TcpServer::DrainFrames(const std::shared_ptr<Conn>& conn) {
     Status next = conn->reader.Next(&payload);
     if (next.IsNotFound()) return true;
     if (!next.ok() || payload.empty()) return false;
-    const unsigned char kind = static_cast<unsigned char>(payload[0]);
-
-    if (conn->version == 0) {
-      // The first frame fixes the connection's wire version.
-      if (kind == kMsgHello) {
-        uint32_t offered = 0;
-        if (!ParseHelloBody(Slice(payload.data() + 1, payload.size() - 1),
-                            &offered)
-                 .ok()) {
-          return false;
-        }
-        const uint32_t common = std::min(kProtocolV2, offered);
-        conn->version = common;
-        if (common < kProtocolV2) {
-          v1_conns_.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::string hello;
-        AppendHelloPayload(&hello, common);
-        std::string framed;
-        AppendFrame(&framed, hello);
-        EnqueueReply(conn, std::move(framed));
-        continue;
-      }
-      if (kind == kMsgCall || kind == kMsgOneWay) {
-        conn->version = kProtocolV1;
-        v1_conns_.fetch_add(1, std::memory_order_relaxed);
-      } else if (kind == kMsgCallV2) {
-        conn->version = kProtocolV2;  // hello-less v2 peer: accepted
-      } else {
-        return false;
-      }
-    } else if (kind == kMsgHello) {
-      return false;  // Hello is only ever the first frame.
-    }
-
     Task task;
-    task.kind = kind;
-    if (kind == kMsgCallV2) {
-      if (conn->version != kProtocolV2) return false;
-      Slice p(payload.data() + 1, payload.size() - 1);
+    task.kind = static_cast<unsigned char>(payload[0]);
+    Slice p(payload.data() + 1, payload.size() - 1);
+    if (task.kind == kMsgCall) {
       if (!util::GetVarint64(&p, &task.corr_id).ok()) return false;
-      task.body.assign(p.data(), p.size());
-    } else if (kind == kMsgCall) {
-      if (conn->version != kProtocolV1) return false;
-      task.body.assign(payload.data() + 1, payload.size() - 1);
-    } else if (kind == kMsgOneWay) {
-      task.body.assign(payload.data() + 1, payload.size() - 1);
-    } else {
-      return false;
+    } else if (task.kind != kMsgOneWay) {
+      return false;  // Unknown kind, the retired 1 and 3 included.
     }
+    task.body.assign(p.data(), p.size());
     Dispatch(conn, std::move(task));
   }
 }
 
 void TcpServer::Dispatch(const std::shared_ptr<Conn>& conn, Task task) {
   const bool blocking = hint_ && hint_(Slice(task.body));
-  if (conn->version == kProtocolV1) {
-    MutexLock guard(conn->mu);
-    if (conn->v1_busy) {
-      conn->v1_backlog.push_back(std::move(task));
-      return;
-    }
-    conn->v1_busy = true;
-  }
   auto shared_task = std::make_shared<Task>(std::move(task));
   if (blocking) {
     // Straight to an elastic thread — a long-poll must not wait behind
@@ -382,10 +350,8 @@ void TcpServer::RunTask(const std::shared_ptr<Conn>& conn, Task task,
     std::string reply;
     const Status handled = handler_(Slice(task.body), &reply);
     std::string out;
-    if (task.kind == kMsgCallV2) {
-      out.push_back(static_cast<char>(kMsgReplyV2));
-      util::PutVarint64(&out, task.corr_id);
-    }
+    out.push_back(static_cast<char>(kMsgReply));
+    util::PutVarint64(&out, task.corr_id);
     EncodeStatus(handled, &out);
     out.append(reply);
     std::string framed;
@@ -394,36 +360,6 @@ void TcpServer::RunTask(const std::shared_ptr<Conn>& conn, Task task,
     // observe the counter already bumped.
     served_.fetch_add(1, std::memory_order_relaxed);
     EnqueueReply(conn, std::move(framed), defer_flush);
-  }
-
-  if (conn->version == kProtocolV1) {
-    // Release the in-order chain: run the next backlogged request, if
-    // any arrived while this one executed.
-    Task next;
-    bool have = false;
-    {
-      MutexLock guard(conn->mu);
-      if (!conn->v1_backlog.empty()) {
-        next = std::move(conn->v1_backlog.front());
-        conn->v1_backlog.pop_front();
-        have = true;
-      } else {
-        conn->v1_busy = false;
-      }
-    }
-    if (have) {
-      const bool blocking = hint_ && hint_(Slice(next.body));
-      auto shared_task = std::make_shared<Task>(std::move(next));
-      // Deferred flushing is only safe on pool workers (they flush
-      // before sleeping); an elastic thread exits right after the
-      // task, so its reply must flush inline.
-      const bool defer = !blocking;
-      SubmitToPool(
-          [this, conn, shared_task, defer] {
-            RunTask(conn, std::move(*shared_task), defer);
-          },
-          blocking);
-    }
   }
 }
 
@@ -530,7 +466,7 @@ void TcpServer::SubmitToPool(std::function<void()> fn, bool blocking) {
     MutexLock guard(pool_mu_);
     if (pool_stop_) return;
     ReapBlockingThreadsLocked();
-    if (blocking_threads_ < options_.max_blocking_threads) {
+    if (blocking_threads_ < kMaxBlockingThreads) {
       ++blocking_threads_;
       blocking_live_.emplace_back([this, fn = std::move(fn)] {
         fn();

@@ -12,6 +12,7 @@
 
 #include "net/socket_util.h"
 #include "net/uring_backend.h"
+#include "net/wire.h"
 #include "util/coding.h"
 #include "util/logging.h"
 
@@ -30,7 +31,7 @@ Status SendAll(int fd, const Slice& data, IoCounters* counters) {
   while (sent < data.size()) {
     const ssize_t n =
         send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (counters) counters->sends.fetch_add(1, std::memory_order_relaxed);
+    counters->sends.fetch_add(1, std::memory_order_relaxed);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return Status::Unavailable("send failed: " +
@@ -73,9 +74,8 @@ struct TcpChannel::Sock {
   int fd = -1;
   int wake_fd = -1;
   std::atomic<bool> broken{false};
-  FrameReader v1_reader;  // v1 mode only; guarded by the channel's write_mu_
 
-  // v2 combining writer (SendV2): frames append to `outbuf` under
+  // Combining writer (SendFrame): frames append to `outbuf` under
   // `out_mu`; whichever thread finds no writer active becomes one and
   // drains until the buffer stays empty. Concurrent callers cork their
   // frames into the active writer's next send instead of queueing on a
@@ -85,7 +85,7 @@ struct TcpChannel::Sock {
   bool writer_active GUARDED_BY(out_mu) = false;
 
   // When the demux reader runs on io_uring it owns every SQE, so
-  // senders never write the socket themselves: SendV2 parks the writer
+  // senders never write the socket themselves: SendFrame parks the writer
   // role (`ring_handoff`) and kicks the wake eventfd, and the reader
   // turns the accumulated outbuf into one SEND SQE on its next enter —
   // a pipelined burst's sends and its reply reaping share a syscall.
@@ -112,20 +112,9 @@ void TcpChannel::Close() {
   // a healthy reader that will never exit (a real deadlock ASan runs
   // hit in clerk_pool_exactly_once_test).
   for (;;) {
-    std::shared_ptr<Sock> sock = sock_;
-    if (sock) {
-      if (wire_version_ >= kProtocolV2) {
-        // The reader owns teardown: it fails every pending call, clears
-        // sock_, and announces its exit.
-        sock->broken.store(true, std::memory_order_release);
-        shutdown(sock->fd, SHUT_RDWR);
-        KickEventFd(sock->wake_fd);
-      } else {
-        sock_.reset();
-        // Unblock a concurrent v1 exchange parked in recv().
-        shutdown(sock->fd, SHUT_RDWR);
-      }
-    }
+    // The reader owns teardown: it fails every pending call, clears
+    // sock_, and announces its exit.
+    if (sock_) BreakConnection(sock_);
     if (!reader_.joinable()) return;
     if (reader_done_) {
       // The reader no longer touches channel state; joining under mu_
@@ -142,8 +131,6 @@ void TcpChannel::SetTarget(const std::string& host, uint16_t port) {
     MutexLock lock(mu_);
     options_.host = host;
     options_.port = port;
-    // The new server may speak a different protocol version.
-    server_version_hint_ = 0;
   }
   Close();
 }
@@ -184,57 +171,6 @@ Status TcpChannel::ConnectOnce(int* fd_out) {
   return Status::OK();
 }
 
-Status TcpChannel::NegotiateV2(int fd, uint32_t* version) {
-  std::string framed;
-  {
-    std::string payload;
-    AppendHelloPayload(&payload, options_.max_protocol_version);
-    AppendFrame(&framed, payload);
-  }
-  RRQ_RETURN_IF_ERROR(SendAll(fd, framed, &io_counters_));
-
-  FrameReader reader;
-  char buf[4096];
-  const uint64_t deadline = NowMicros() + options_.connect_timeout_micros;
-  while (true) {
-    std::string payload;
-    Status next = reader.Next(&payload);
-    if (next.ok()) {
-      if (payload.empty() ||
-          static_cast<unsigned char>(payload[0]) != kMsgHello) {
-        return Status::Corruption("expected hello reply");
-      }
-      uint32_t server_version = 0;
-      RRQ_RETURN_IF_ERROR(ParseHelloBody(
-          Slice(payload.data() + 1, payload.size() - 1), &server_version));
-      if (reader.buffered() != 0) {
-        // The server must not speak before our first call.
-        return Status::Corruption("unexpected bytes after hello");
-      }
-      *version = std::min(options_.max_protocol_version, server_version);
-      return Status::OK();
-    }
-    if (!next.IsNotFound()) return next;  // Corruption.
-    Status ready = PollFd(fd, POLLIN, deadline);
-    if (!ready.ok()) {
-      return ready.IsTimedOut() ? Status::TimedOut("hello timed out") : ready;
-    }
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n == 0 || (n < 0 && errno == ECONNRESET)) {
-      // A v1 server drops the connection on the unknown hello kind.
-      // Nothing but the hello was sent, so reconnecting as v1 resends
-      // no request — the §2 rule holds.
-      return Status::FailedPrecondition("server closed on hello");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("recv failed: " +
-                                 std::string(std::strerror(errno)));
-    }
-    reader.Feed(Slice(buf, static_cast<size_t>(n)));
-  }
-}
-
 Status TcpChannel::EnsureConnectedLocked() {
   // Re-check sock_ on every wakeup: when a dead connection strands
   // several callers here, the first one to see reader_done_ joins the
@@ -267,44 +203,18 @@ Status TcpChannel::EnsureConnectedLocked() {
     if (last.IsInvalidArgument()) return last;  // Bad address: hopeless.
     if (!last.ok()) continue;
 
-    uint32_t version = kProtocolV1;
-    if (options_.max_protocol_version >= kProtocolV2 &&
-        server_version_hint_ != kProtocolV1) {
-      last = NegotiateV2(fd, &version);
-      if (last.IsFailedPrecondition()) {
-        // v1 server: remember, reconnect, speak the old protocol.
-        close(fd);
-        server_version_hint_ = kProtocolV1;
-        last = ConnectOnce(&fd);
-        if (!last.ok()) continue;
-        version = kProtocolV1;
-      } else if (!last.ok()) {
-        close(fd);
-        continue;
-      }
-    }
-
     auto sock = std::make_shared<Sock>();
     sock->fd = fd;
-    if (version >= kProtocolV2) {
-      sock->wake_fd = eventfd(0, EFD_NONBLOCK);
-      if (sock->wake_fd < 0) {
-        last = Errno("eventfd");
-        continue;  // sock closes fd on destruction.
-      }
+    sock->wake_fd = eventfd(0, EFD_NONBLOCK);
+    if (sock->wake_fd < 0) {
+      last = Errno("eventfd");
+      continue;  // sock closes fd on destruction.
     }
     sock_ = sock;
-    wire_version_ = version;
-    version_.store(version, std::memory_order_relaxed);
     connects_.fetch_add(1, std::memory_order_relaxed);
-    if (version < kProtocolV2) {
-      io_backend_.store("v1", std::memory_order_relaxed);
-    }
-    if (version >= kProtocolV2) {
-      reader_done_ = false;
-      reader_wait_until_ = UINT64_MAX;
-      reader_ = std::thread([this, sock] { ReaderMain(sock); });
-    }
+    reader_done_ = false;
+    reader_wait_until_ = UINT64_MAX;
+    reader_ = std::thread([this, sock] { ReaderMain(sock); });
     return Status::OK();
   }
   return Status::Unavailable("connect to " + options_.host + ":" +
@@ -317,23 +227,14 @@ void TcpChannel::BreakConnectionForTest() {
   {
     MutexLock lock(mu_);
     sock = sock_;
-    if (sock && wire_version_ < kProtocolV2) {
-      // v1 has no reader to run teardown; drop the socket directly.
-      sock_.reset();
-    }
   }
-  if (sock == nullptr) return;
-  if (sock->wake_fd >= 0) {
-    BreakConnection(sock);
-  } else {
-    shutdown(sock->fd, SHUT_RDWR);
-  }
+  if (sock) BreakConnection(sock);
 }
 
 void TcpChannel::BreakConnection(const std::shared_ptr<Sock>& sock) {
   sock->broken.store(true, std::memory_order_release);
   shutdown(sock->fd, SHUT_RDWR);
-  if (sock->wake_fd >= 0) KickEventFd(sock->wake_fd);
+  KickEventFd(sock->wake_fd);
 }
 
 void TcpChannel::ReaderMain(std::shared_ptr<Sock> sock) {
@@ -361,7 +262,7 @@ void TcpChannel::ReaderMain(std::shared_ptr<Sock> sock) {
   io_backend_.store(uring ? "uring" : "poll", std::memory_order_relaxed);
   if (uring) {
     // From here on senders park their bytes for the ring instead of
-    // writing the socket (SendV2 handoff). Sends issued before this
+    // writing the socket (SendFrame handoff). Sends issued before this
     // flips went out directly under the writer_active claim, which the
     // handoff honors — the two regimes never write concurrently.
     MutexLock guard(sock->out_mu);
@@ -427,7 +328,7 @@ Status TcpChannel::DispatchReplies(FrameReader* reader) {
     }
     Slice p(payload);
     uint64_t id = 0;
-    if (p.empty() || static_cast<unsigned char>(p[0]) != kMsgReplyV2) {
+    if (p.empty() || static_cast<unsigned char>(p[0]) != kMsgReply) {
       return Status::Unavailable("protocol corruption: bad reply kind");
     }
     p.remove_prefix(1);
@@ -560,7 +461,7 @@ Status TcpChannel::ReaderLoopUring(const std::shared_ptr<Sock>& sock,
         },
         &ev);
     // A sender that found no writer active parked the role for us
-    // (SendV2 handoff); a completed ring send leaves us holding it.
+    // (SendFrame handoff); a completed ring send leaves us holding it.
     // Either way the role is legitimately ours, so FinishRingSend may
     // queue the outbuf or retire the role.
     bool handoff = false;
@@ -607,75 +508,6 @@ void TcpChannel::FinishRingSend(const std::shared_ptr<Sock>& sock,
   io->QueueSend(std::move(local));
 }
 
-Status TcpChannel::CallV1(const std::shared_ptr<Sock>& sock,
-                          const Slice& request, std::string* reply,
-                          uint64_t min_deadline_micros) {
-  MutexLock wguard(write_mu_);
-  std::string framed;
-  {
-    std::string payload;
-    payload.push_back(static_cast<char>(kMsgCall));
-    payload.append(request.data(), request.size());
-    AppendFrame(&framed, payload);
-  }
-  Status s = SendAll(sock->fd, framed, &io_counters_);
-  if (!s.ok()) {
-    TearDownV1(sock);
-    return s;
-  }
-
-  const uint64_t deadline = CallDeadline(
-      NowMicros(), options_.call_timeout_micros, min_deadline_micros);
-  char buf[16384];
-  std::string wire;
-  while (true) {
-    Status next = sock->v1_reader.Next(&wire);
-    if (next.ok()) break;
-    if (next.IsCorruption()) {
-      TearDownV1(sock);
-      return Status::Unavailable("protocol corruption: " + next.ToString());
-    }
-    Status ready = PollFd(sock->fd, POLLIN, deadline);
-    if (!ready.ok()) {
-      // A straggler reply may still arrive on this stream and v1
-      // replies carry no ids, so the connection cannot be reused.
-      TearDownV1(sock);
-      return Status::Unavailable(
-          ready.IsTimedOut() ? std::string(kCallDeadlineExceededMessage)
-                             : "poll failed: " + ready.ToString());
-    }
-    const ssize_t n = recv(sock->fd, buf, sizeof(buf), 0);
-    io_counters_.recvs.fetch_add(1, std::memory_order_relaxed);
-    if (n == 0) {
-      Status torn = sock->v1_reader.AtEnd();
-      TearDownV1(sock);
-      return Status::Unavailable(torn.ok() ? "connection closed before reply"
-                                           : "connection torn mid-reply: " +
-                                                 torn.ToString());
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      TearDownV1(sock);
-      return Status::Unavailable("recv failed: " +
-                                 std::string(std::strerror(errno)));
-    }
-    sock->v1_reader.Feed(Slice(buf, static_cast<size_t>(n)));
-  }
-  // [handler status][reply bytes], exactly like the simulated network
-  // propagating a handler's return value.
-  Slice input(wire);
-  Status handled = DecodeStatus(&input);
-  if (!handled.ok()) return handled;
-  reply->assign(input.data(), input.size());
-  return Status::OK();
-}
-
-void TcpChannel::TearDownV1(const std::shared_ptr<Sock>& sock) {
-  shutdown(sock->fd, SHUT_RDWR);
-  MutexLock guard(mu_);
-  if (sock_ == sock) sock_.reset();
-}
-
 void TcpChannel::CallAsync(const Slice& request, Callback done) {
   CallAsync(request, CallOptions{}, std::move(done));
 }
@@ -683,7 +515,6 @@ void TcpChannel::CallAsync(const Slice& request, Callback done) {
 void TcpChannel::CallAsync(const Slice& request, const CallOptions& options,
                            Callback done) {
   std::shared_ptr<Sock> sock;
-  uint32_t version = 0;
   uint64_t id = 0;
   bool wake = false;
   {
@@ -695,33 +526,23 @@ void TcpChannel::CallAsync(const Slice& request, const CallOptions& options,
       return;
     }
     sock = sock_;
-    version = wire_version_;
-    if (version >= kProtocolV2) {
-      id = next_id_++;
-      const uint64_t deadline =
-          CallDeadline(NowMicros(), options_.call_timeout_micros,
-                       options.min_deadline_micros);
-      pending_.emplace(id, PendingCall{std::move(done), deadline});
-      wake = deadline < reader_wait_until_;
-    }
-  }
-
-  if (version < kProtocolV2) {
-    std::string reply;
-    Status s = CallV1(sock, request, &reply, options.min_deadline_micros);
-    done(std::move(s), std::move(reply));
-    return;
+    id = next_id_++;
+    const uint64_t deadline =
+        CallDeadline(NowMicros(), options_.call_timeout_micros,
+                     options.min_deadline_micros);
+    pending_.emplace(id, PendingCall{std::move(done), deadline});
+    wake = deadline < reader_wait_until_;
   }
 
   std::string framed;
   {
     std::string payload;
-    payload.push_back(static_cast<char>(kMsgCallV2));
+    payload.push_back(static_cast<char>(kMsgCall));
     util::PutVarint64(&payload, id);
     payload.append(request.data(), request.size());
     AppendFrame(&framed, payload);
   }
-  Status sent = SendV2(sock, std::move(framed));
+  Status sent = SendFrame(sock, std::move(framed));
   if (!sent.ok()) {
     // A partial send breaks the stream for everyone; the reader fails
     // all pending calls — including this one, exactly once.
@@ -731,8 +552,8 @@ void TcpChannel::CallAsync(const Slice& request, const CallOptions& options,
   if (wake) KickEventFd(sock->wake_fd);
 }
 
-Status TcpChannel::SendV2(const std::shared_ptr<Sock>& sock,
-                          std::string framed) {
+Status TcpChannel::SendFrame(const std::shared_ptr<Sock>& sock,
+                             std::string framed) {
   bool handoff = false;
   {
     MutexLock guard(sock->out_mu);
@@ -816,15 +637,11 @@ Status TcpChannel::Call(const Slice& request, std::string* reply,
 
 Status TcpChannel::SendOneWay(const Slice& message) {
   std::shared_ptr<Sock> sock;
-  uint32_t version = 0;
   Status s;
   {
     MutexLock lock(mu_);
     s = EnsureConnectedLocked();
-    if (s.ok()) {
-      sock = sock_;
-      version = wire_version_;
-    }
+    if (s.ok()) sock = sock_;
   }
   if (s.ok()) {
     std::string framed;
@@ -834,14 +651,8 @@ Status TcpChannel::SendOneWay(const Slice& message) {
       payload.append(message.data(), message.size());
       AppendFrame(&framed, payload);
     }
-    if (version >= kProtocolV2) {
-      s = SendV2(sock, std::move(framed));
-      if (!s.ok()) BreakConnection(sock);
-    } else {
-      MutexLock wguard(write_mu_);
-      s = SendAll(sock->fd, framed, &io_counters_);
-      if (!s.ok()) TearDownV1(sock);
-    }
+    s = SendFrame(sock, std::move(framed));
+    if (!s.ok()) BreakConnection(sock);
   }
   if (!s.ok()) {
     // Lost, like any dropped one-way message: no failure signal (§5) —

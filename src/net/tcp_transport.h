@@ -15,7 +15,6 @@
 #include "net/frame.h"
 #include "net/io_backend.h"
 #include "net/transport.h"
-#include "net/wire.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -23,8 +22,8 @@ namespace rrq::net {
 
 class ClientUringIo;  // net/uring_backend.h
 
-// See net/wire.h for the v1/v2 payload layouts and how the version is
-// negotiated on the first frame of each connection.
+// See net/wire.h for the payload layout: calls carry correlation ids,
+// so many share one connection and replies arrive in any order.
 
 struct TcpServerOptions {
   std::string bind_address = "127.0.0.1";
@@ -33,11 +32,6 @@ struct TcpServerOptions {
   int backlog = 128;
   /// Handler worker threads. 0 = std::thread::hardware_concurrency().
   int workers = 0;
-  /// Requests flagged by the blocking hint run on elastic overflow
-  /// threads (spawned on demand, reaped as they finish) so a parked
-  /// long-poll cannot starve the bounded pool. This caps how many may
-  /// exist at once; past the cap such requests fall back to the pool.
-  int max_blocking_threads = 64;
   /// Event-loop mechanics (DESIGN.md §13): kAuto prefers io_uring and
   /// falls back to epoll with a logged reason when the kernel or
   /// sandbox denies it — never a startup failure.
@@ -47,13 +41,12 @@ struct TcpServerOptions {
 /// Serves an RpcHandler over TCP. One I/O loop — epoll readiness or an
 /// io_uring completion ring, chosen at Start() — owns every
 /// socket (accept, reads, backpressured writes); decoded requests are
-/// executed on a bounded worker pool, so concurrent calls from one v2
+/// executed on a bounded worker pool, so concurrent calls from one
 /// connection — and from many connections — run handlers in parallel
 /// and their commits coalesce into group-commit batches. Completed
 /// replies are appended to a per-connection outbox and flushed with
 /// writev, corking whatever has accumulated by the time the socket is
-/// writable. v1 connections keep the PR 3 contract: requests execute
-/// one at a time, in arrival order, replies in request order.
+/// writable.
 ///
 /// Connection state lives exactly as long as the connection: the loop
 /// drops it the moment the socket closes (no per-connection thread to
@@ -61,9 +54,10 @@ struct TcpServerOptions {
 class TcpServer {
  public:
   /// Returns true for requests that may park their worker thread for a
-  /// long time (e.g. a Dequeue carrying a wait timeout); see
-  /// TcpServerOptions::max_blocking_threads. Must be set before
-  /// Start() and must be thread-safe.
+  /// long time (e.g. a Dequeue carrying a wait timeout). Such requests
+  /// run on elastic threads, spawned on demand up to a fixed cap, so a
+  /// parked long-poll cannot starve the bounded pool. Must be set
+  /// before Start() and must be thread-safe.
   using BlockingHint = std::function<bool(const Slice& request)>;
 
   TcpServer(TcpServerOptions options, RpcHandler handler);
@@ -99,11 +93,6 @@ class TcpServer {
   uint64_t active_connections() const {
     return active_conns_.load(std::memory_order_relaxed);
   }
-  /// Connections that negotiated (or defaulted to) the serialized v1
-  /// protocol.
-  uint64_t v1_connections() const {
-    return v1_conns_.load(std::memory_order_relaxed);
-  }
   /// Per-loop I/O syscall counters for the resolved backend (§13):
   /// waits/recvs/sends for epoll, enters/SQE batches/CQEs for uring.
   IoLoopStats io_stats() const {
@@ -117,7 +106,12 @@ class TcpServer {
 
  private:
   using Conn = ServerConn;
-  using Task = ServerTask;
+  // One decoded request awaiting dispatch.
+  struct Task {
+    unsigned char kind = 0;  // kMsgCall or kMsgOneWay
+    uint64_t corr_id = 0;
+    std::string body;
+  };
 
   // ServerIoBackend::Sink — events delivered by backend_->Wait() on
   // the loop thread.
@@ -149,7 +143,7 @@ class TcpServer {
   // socket write is left to FlushDeferred(), so replies completed by
   // one worker drain go out corked in a single writev.
   void EnqueueReply(const std::shared_ptr<Conn>& conn, std::string framed,
-                    bool defer_flush = false);
+                    bool defer_flush);
   // The calling thread's connections with deferred (unflushed) reply
   // bytes. Per worker thread; the loop thread never defers.
   std::vector<std::shared_ptr<Conn>>& Deferred();
@@ -218,14 +212,12 @@ class TcpServer {
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> active_conns_{0};
-  std::atomic<uint64_t> v1_conns_{0};
 };
 
 struct TcpChannelOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Deadline on each TCP connect attempt (and on the v2 hello
-  /// exchange riding on a fresh connection).
+  /// Deadline on each TCP connect attempt.
   uint64_t connect_timeout_micros = 1'000'000;
   /// Deadline on a whole Call (send + wait for the reply frame). Must
   /// exceed the longest server-side blocking operation (a Dequeue's
@@ -239,22 +231,16 @@ struct TcpChannelOptions {
   int max_connect_attempts = 10;
   uint64_t backoff_initial_micros = 2'000;
   uint64_t backoff_max_micros = 250'000;
-  /// Highest wire version to offer (net/wire.h). kProtocolV1 forces
-  /// the serialized PR 3 protocol — useful against old servers and in
-  /// interop tests; kProtocolV2 multiplexes and falls back to v1
-  /// automatically when the server drops the hello.
-  uint32_t max_protocol_version = kProtocolV2;
-  /// Reader-loop mechanics for v2 connections (DESIGN.md §13): kAuto
-  /// prefers io_uring — the demux reader submits corked sends, re-arms
-  /// its recv, and reaps reply completions in one io_uring_enter — and
-  /// falls back to the poll() loop when unavailable. v1 connections
-  /// always use plain blocking syscalls.
+  /// Reader-loop mechanics (DESIGN.md §13): kAuto prefers io_uring —
+  /// the demux reader submits corked sends, re-arms its recv, and
+  /// reaps reply completions in one io_uring_enter — and falls back to
+  /// the poll() loop when unavailable.
   IoBackendKind backend = IoBackendKind::kAuto;
 };
 
 /// Message carried by the Unavailable status a TcpChannel produces
-/// when a call's own deadline expires (v1 and v2 alike). Stable: pool
-/// and clerk layers match on it to attribute expiries per caller.
+/// when a call's own deadline expires. Stable: pool and clerk layers
+/// match on it to attribute expiries per caller.
 inline constexpr std::string_view kCallDeadlineExceededMessage =
     "call deadline exceeded";
 
@@ -270,19 +256,14 @@ inline bool IsCallDeadlineExpiry(const Status& s) {
 /// reconnects (with backoff, bounded) whenever a call finds the
 /// channel disconnected.
 ///
-/// On a v2 connection many calls share the one socket: writers
-/// serialize on a single send path, a demux reader thread matches
-/// kMsgReplyV2 correlation ids to pending calls, and each call carries
-/// its own deadline. A deadline expiry fails that call alone
-/// (Unavailable; a straggler reply is later discarded by id) — only
-/// protocol corruption or a dead socket poisons the connection, which
-/// fails every pending call and reconnects on next use. Thread-safe:
-/// one shared channel serves many clerk threads.
-///
-/// On a v1 connection (old server, or max_protocol_version = 1) calls
-/// are serialized exactly as in PR 3, and a timeout must poison the
-/// connection because v1 replies carry no ids to tell stragglers
-/// apart.
+/// Many calls share the one socket: writers cork into a single
+/// combining send path, a demux reader thread matches kMsgReply
+/// correlation ids to pending calls, and each call carries its own
+/// deadline. A deadline expiry fails that call alone (Unavailable; a
+/// straggler reply is later discarded by id) — only protocol
+/// corruption or a dead socket poisons the connection, which fails
+/// every pending call and reconnects on next use. Thread-safe: one
+/// shared channel serves many clerk threads.
 class TcpChannel final : public Channel {
  public:
   explicit TcpChannel(TcpChannelOptions options);
@@ -303,8 +284,8 @@ class TcpChannel final : public Channel {
   /// Pipelined call: returns as soon as the request is on the wire
   /// (or has failed). `done` fires exactly once — from the demux
   /// reader on a reply, a deadline expiry, or connection teardown;
-  /// inline on a v1 connection or when the send itself fails. The
-  /// callback must not call Close() or destroy the channel.
+  /// inline when the channel cannot connect. The callback must not
+  /// call Close() or destroy the channel.
   void CallAsync(const Slice& request, Callback done) override;
   void CallAsync(const Slice& request, const CallOptions& options,
                  Callback done) override;
@@ -329,7 +310,7 @@ class TcpChannel final : public Channel {
   uint64_t one_ways_lost() const {
     return one_ways_lost_.load(std::memory_order_relaxed);
   }
-  /// v2 replies whose correlation id matched no pending call —
+  /// Replies whose correlation id matched no pending call —
   /// stragglers from expired deadlines (discarded, §2-safe) or a
   /// misbehaving server.
   uint64_t late_replies() const {
@@ -343,18 +324,13 @@ class TcpChannel final : public Channel {
   /// would — pending calls fail, the next call reconnects. Lets tests
   /// drive the failure/reconnect races against a healthy server.
   void BreakConnectionForTest();
-  /// Wire version of the current (or most recent) connection; 0 before
-  /// the first connect.
-  uint32_t negotiated_version() const {
-    return version_.load(std::memory_order_relaxed);
-  }
   /// Per-loop I/O syscall counters for the reader/writer paths (§13).
   IoLoopStats io_stats() const {
     return SnapshotIoCounters(io_backend_.load(std::memory_order_relaxed),
                               io_counters_);
   }
-  /// "uring" or "poll" for the current (or most recent) v2 connection;
-  /// "none" before the first connect, "v1" on a serialized connection.
+  /// "uring" or "poll" for the current (or most recent) connection;
+  /// "none" before the first connect.
   const char* io_backend_name() const {
     return io_backend_.load(std::memory_order_relaxed);
   }
@@ -366,12 +342,10 @@ class TcpChannel final : public Channel {
     uint64_t deadline_micros = 0;
   };
 
-  // Connect + negotiate. May sleep in backoff (holding mu_).
+  // Connects and starts the demux reader. May sleep in backoff
+  // (holding mu_).
   Status EnsureConnectedLocked() REQUIRES(mu_);
   Status ConnectOnce(int* fd_out);
-  // Sends the hello and waits for the server's. FailedPrecondition is
-  // the internal "v1 server closed on us" verdict (never escapes).
-  Status NegotiateV2(int fd, uint32_t* version);
   void ReaderMain(std::shared_ptr<Sock> sock);
   // Reader-loop bodies behind ReaderMain's shared setup/teardown. Each
   // returns the connection-fatal status.
@@ -392,31 +366,24 @@ class TcpChannel final : public Channel {
   // Marks the socket dead and wakes the reader, which fails every
   // pending call and clears the connection.
   void BreakConnection(const std::shared_ptr<Sock>& sock);
-  // v2 send path: appends the frame to the socket's combining buffer
+  // The send path: appends the frame to the socket's combining buffer
   // and drains it if no other thread is already writing, so frames
   // issued concurrently (or from reply callbacks in a burst) cork into
   // few sends. An error means the stream broke mid-frame; the caller
   // must BreakConnection.
-  Status SendV2(const std::shared_ptr<Sock>& sock, std::string framed);
+  Status SendFrame(const std::shared_ptr<Sock>& sock, std::string framed);
   // Claims the combining-writer role without sending (true on
   // success); the claimant must later DrainOutbuf — which sends the
   // accumulated frames and retires the writer role — even on failure
   // paths.
   bool CorkOutbuf(const std::shared_ptr<Sock>& sock);
   Status DrainOutbuf(const std::shared_ptr<Sock>& sock);
-  // v1 serialized exchange (PR 3 semantics) under write_mu_.
-  Status CallV1(const std::shared_ptr<Sock>& sock, const Slice& request,
-                std::string* reply, uint64_t min_deadline_micros);
-  void TearDownV1(const std::shared_ptr<Sock>& sock);
 
   TcpChannelOptions options_;
 
   Mutex mu_;
   CondVar reader_exit_cv_;
   std::shared_ptr<Sock> sock_ GUARDED_BY(mu_);  // null while disconnected
-  uint32_t wire_version_ GUARDED_BY(mu_) = 0;   // of sock_
-  // 1 after a v1 server dropped a hello.
-  uint32_t server_version_hint_ GUARDED_BY(mu_) = 0;
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   std::unordered_map<uint64_t, PendingCall> pending_ GUARDED_BY(mu_);
   // Deadline the reader is currently sleeping toward (UINT64_MAX =
@@ -427,18 +394,10 @@ class TcpChannel final : public Channel {
   std::thread reader_;
   bool reader_done_ GUARDED_BY(mu_) = true;
 
-  // Serializes socket writes (the single writer path); on a v1
-  // connection it also covers the reply read, i.e. the whole exchange
-  // (each Sock carries its own v1 FrameReader, so a straggling
-  // exchange on a torn-down socket never shares state with a fresh
-  // connection).
-  Mutex write_mu_;
-
   std::atomic<uint64_t> connects_{0};
   std::atomic<uint64_t> one_ways_lost_{0};
   std::atomic<uint64_t> late_replies_{0};
   std::atomic<uint64_t> deadline_expiries_{0};
-  std::atomic<uint32_t> version_{0};
   IoCounters io_counters_;
   std::atomic<const char*> io_backend_{"none"};
 };

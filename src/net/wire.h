@@ -1,64 +1,25 @@
 #ifndef RRQ_NET_WIRE_H_
 #define RRQ_NET_WIRE_H_
 
-#include <cstdint>
-#include <string>
-
-#include "util/coding.h"
-#include "util/slice.h"
-#include "util/status.h"
-
 namespace rrq::net {
 
-// RPC conventions on top of the frame layer. Two wire versions share
-// the same frame format ([fixed32 length][fixed32 masked CRC][payload])
-// and differ only in the payload layout:
+// RPC conventions on top of the frame layer ([fixed32 length][fixed32
+// masked CRC][payload]). There is one payload layout and no version
+// negotiation: many calls share a connection, replies arrive in any
+// order and are matched to their calls by correlation id.
 //
-//   v1 (PR 3, serialized — one call in flight per connection):
-//     request  [kMsgCall   ][body]            -> exactly one reply
-//     reply    [EncodeStatus][reply bytes]     (no kind, no id)
-//     one-way  [kMsgOneWay ][body]            -> no reply
+//   request  [kMsgCall  ][varint id][body] -> one reply, eventually
+//   reply    [kMsgReply ][varint id][EncodeStatus][reply bytes]
+//   one-way  [kMsgOneWay][body]            -> no reply
 //
-//   v2 (multiplexed — many calls in flight, replies in any order):
-//     hello    [kMsgHello  ][varint version]  -> hello back from server
-//     request  [kMsgCallV2 ][varint id][body] -> one reply, eventually
-//     reply    [kMsgReplyV2][varint id][EncodeStatus][reply bytes]
-//     one-way  [kMsgOneWay ][body]            -> no reply
-//
-// Version negotiation rides on the first frame of a connection. A v2
-// client opens with kMsgHello carrying the highest version it speaks;
-// a v2 server answers with its own hello (min of the two) and switches
-// the connection to multiplexed mode. A v1 server treats the unknown
-// kind as a protocol error and drops the connection — the client
-// detects the close-after-hello, reconnects, and speaks v1. That
-// downgrade is safe under the §2 never-resend rule because a hello
-// carries no request: nothing that may have executed is ever resent.
-// A v1 client's first frame is kMsgCall/kMsgOneWay, which a v2 server
-// recognizes and serves with the exact PR 3 behavior (in-order, one
-// reply at a time, no ids).
+// Kinds 1 (the id-less serialized call) and 3 (a version hello) are
+// retired: a server closes any connection that sends them, like any
+// other unknown kind. Their values stay reserved so an old peer fails
+// loudly instead of being misread.
 
-constexpr unsigned char kMsgCall = 1;     // v1 call
-constexpr unsigned char kMsgOneWay = 2;   // both versions
-constexpr unsigned char kMsgHello = 3;    // v2 version negotiation
-constexpr unsigned char kMsgCallV2 = 4;   // v2 call, correlation id
-constexpr unsigned char kMsgReplyV2 = 5;  // v2 reply, correlation id
-
-constexpr uint32_t kProtocolV1 = 1;
-constexpr uint32_t kProtocolV2 = 2;
-
-inline void AppendHelloPayload(std::string* out, uint32_t version) {
-  out->push_back(static_cast<char>(kMsgHello));
-  util::PutVarint32(out, version);
-}
-
-/// Parses the body of a kMsgHello frame (the bytes after the kind).
-inline Status ParseHelloBody(Slice body, uint32_t* version) {
-  if (!util::GetVarint32(&body, version).ok() || !body.empty() ||
-      *version == 0) {
-    return Status::Corruption("malformed hello");
-  }
-  return Status::OK();
-}
+constexpr unsigned char kMsgOneWay = 2;
+constexpr unsigned char kMsgCall = 4;   // carries a correlation id
+constexpr unsigned char kMsgReply = 5;  // echoes the call's correlation id
 
 }  // namespace rrq::net
 

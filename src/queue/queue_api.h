@@ -49,7 +49,7 @@ class QueueApi {
   // ---- Pipelined variants -------------------------------------------
   // Default implementations degrade to the synchronous op and invoke
   // `done` inline, so every api is pipelinable in interface; transports
-  // with a multiplexed wire (net::ChannelQueueApi over a v2 TcpChannel)
+  // with a multiplexed wire (net::ChannelQueueApi over a TcpChannel)
   // override them with true in-flight concurrency. Callbacks may run on
   // an internal transport thread and must not block.
 

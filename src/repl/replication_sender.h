@@ -49,7 +49,7 @@ struct ReplicationState {
 };
 
 /// Primary-side half of WAL shipping: a background thread that drains
-/// the ReplicationLog over a dedicated v2 TcpChannel to the backup's
+/// the ReplicationLog over a dedicated TcpChannel to the backup's
 /// applier, with acks, gap rewind, and bounded reconnect/backoff.
 ///
 /// The transport's never-resend rule does not apply to this channel:

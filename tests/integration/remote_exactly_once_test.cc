@@ -26,7 +26,8 @@
 #include "client/reliable_client.h"
 #include "core/property_checker.h"
 #include "env/env.h"
-#include "net/remote_queue_api.h"
+#include "net/queue_wire.h"
+#include "net/tcp_transport.h"
 #include "storage/kv_store.h"
 #include "testing/subprocess.h"
 #include "txn/txn_manager.h"
@@ -75,7 +76,8 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
   channel_options.call_timeout_micros = 10'000'000;
   channel_options.max_connect_attempts = 25;
   channel_options.backoff_initial_micros = 5'000;
-  net::TcpRemoteQueueApi api(channel_options);
+  net::TcpChannel channel(channel_options);
+  net::ChannelQueueApi api(&channel);
 
   // A remote client must provision its own reply queue on the daemon.
   ASSERT_TRUE(api.CreateQueue("reply.c").ok());
@@ -111,7 +113,7 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
   // recovered.
   std::atomic<int> completed{0};
   std::atomic<bool> killed{false};
-  std::thread killer([&daemon, &api, &completed, &killed, &dir]() {
+  std::thread killer([&daemon, &channel, &completed, &killed, &dir]() {
     while (completed.load(std::memory_order_acquire) < kKillAfter) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -124,7 +126,7 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
     ASSERT_TRUE(line.ok()) << line.status().ToString();
     const uint16_t new_port = ParsePort(*line);
     ASSERT_NE(new_port, 0);
-    api.channel()->SetTarget("127.0.0.1", new_port);
+    channel.SetTarget("127.0.0.1", new_port);
     killed.store(true, std::memory_order_release);
   });
 
@@ -145,7 +147,7 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
   }
   killer.join();
   // The channel must have actually ridden out a daemon death.
-  EXPECT_GE(api.channel()->connects(), 2u);
+  EXPECT_GE(channel.connects(), 2u);
   EXPECT_TRUE(client.Stop().ok());
 
   // Shut the daemon down cleanly and open its state in-process.

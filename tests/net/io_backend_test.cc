@@ -163,7 +163,7 @@ uint64_t BurstSyscalls(IoBackendKind backend, int rounds) {
 
   TcpChannel channel(ChannelTo(server.port(), backend));
   // Prime the connection so the bursts measure steady-state I/O, not
-  // connect + v2 negotiation.
+  // connect and reader setup.
   std::string reply;
   EXPECT_TRUE(channel.Call("prime", &reply).ok());
 

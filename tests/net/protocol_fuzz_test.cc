@@ -217,7 +217,7 @@ TEST(ProtocolFuzzTest, TruncatedRepliesAreRejectedByTheClientCodec) {
   }
 }
 
-// ---- Wire v2 correlation-id fuzzing ---------------------------------
+// ---- Correlation-id fuzzing ------------------------------------------
 //
 // Both peers of the multiplexed protocol face a trust boundary at the
 // correlation id: a corrupt, duplicate, or unknown id must never
@@ -269,16 +269,8 @@ bool WaitForClose(int fd) {
   return false;
 }
 
-std::string MakeHelloFrame(uint32_t version) {
-  std::string payload;
-  AppendHelloPayload(&payload, version);
-  std::string wire;
-  AppendFrame(&wire, payload);
-  return wire;
-}
-
-std::string MakeV2CallFrame(uint64_t corr_id, const std::string& body) {
-  std::string payload(1, static_cast<char>(kMsgCallV2));
+std::string MakeCallFrame(uint64_t corr_id, const std::string& body) {
+  std::string payload(1, static_cast<char>(kMsgCall));
   util::PutVarint64(&payload, corr_id);
   payload += body;
   std::string wire;
@@ -286,9 +278,9 @@ std::string MakeV2CallFrame(uint64_t corr_id, const std::string& body) {
   return wire;
 }
 
-std::string MakeV2ReplyFrame(uint64_t corr_id, const Status& s,
-                             const std::string& body) {
-  std::string payload(1, static_cast<char>(kMsgReplyV2));
+std::string MakeReplyFrame(uint64_t corr_id, const Status& s,
+                           const std::string& body) {
+  std::string payload(1, static_cast<char>(kMsgReply));
   util::PutVarint64(&payload, corr_id);
   EncodeStatus(s, &payload);
   payload += body;
@@ -343,11 +335,11 @@ TEST_P(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames)
   });
   ASSERT_TRUE(server.Start().ok());
 
-  // A kMsgCallV2 frame whose correlation varint never terminates.
+  // A kMsgCall frame whose correlation varint never terminates.
   {
     const int fd = ConnectTo(server.port());
     ASSERT_GE(fd, 0);
-    std::string payload(1, static_cast<char>(kMsgCallV2));
+    std::string payload(1, static_cast<char>(kMsgCall));
     payload.append(10, static_cast<char>(0x80));
     std::string wire;
     AppendFrame(&wire, payload);
@@ -367,19 +359,7 @@ TEST_P(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames)
     EXPECT_TRUE(WaitForClose(fd));
     close(fd);
   }
-  // A second hello after the handshake already completed.
-  {
-    const int fd = ConnectTo(server.port());
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(SendRaw(fd, MakeHelloFrame(kProtocolV2)));
-    FrameReader reader;
-    std::string frame;
-    ASSERT_TRUE(ReadOneFrame(fd, &reader, &frame));  // Server's hello.
-    ASSERT_TRUE(SendRaw(fd, MakeHelloFrame(kProtocolV2)));
-    EXPECT_TRUE(WaitForClose(fd));
-    close(fd);
-  }
-  EXPECT_GE(server.protocol_errors(), 3u);
+  EXPECT_GE(server.protocol_errors(), 2u);
 
   // None of it hurt well-behaved clients.
   TcpChannelOptions options;
@@ -389,6 +369,53 @@ TEST_P(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames)
   std::string reply;
   ASSERT_TRUE(channel.Call("fine", &reply).ok());
   EXPECT_EQ(reply, "fine");
+}
+
+TEST_P(ProtocolFuzzTransportTest, ServerClosesOnRetiredKinds) {
+  // Kinds 1 (the id-less serialized call) and 3 (a version hello) are
+  // retired: whether first on the connection or after a served call,
+  // each closes the connection as a protocol error and never reaches
+  // the handler.
+  std::atomic<int> handled{0};
+  TcpServer server(ServerOpts(), [&handled](const Slice& request,
+                                            std::string* reply) {
+    handled.fetch_add(1);
+    reply->assign(request.ToString());
+    return Status::OK();
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::string hello_body;
+  util::PutVarint32(&hello_body, 2);
+  const std::vector<std::pair<unsigned char, std::string>> retired = {
+      {1, "legacy call"}, {3, hello_body}};
+  int served_calls = 0;
+  uint64_t errors = 0;
+  for (const auto& [kind, body] : retired) {
+    for (bool after_call : {false, true}) {
+      SCOPED_TRACE("kind " + std::to_string(kind) +
+                   (after_call ? " after a call" : " as first frame"));
+      const int fd = ConnectTo(server.port());
+      ASSERT_GE(fd, 0);
+      if (after_call) {
+        ASSERT_TRUE(SendRaw(fd, MakeCallFrame(1, "ok")));
+        FrameReader reader;
+        std::string frame;
+        ASSERT_TRUE(ReadOneFrame(fd, &reader, &frame));
+        ASSERT_EQ(static_cast<unsigned char>(frame[0]), kMsgReply);
+        ++served_calls;
+      }
+      std::string payload(1, static_cast<char>(kind));
+      payload += body;
+      std::string wire;
+      AppendFrame(&wire, payload);
+      ASSERT_TRUE(SendRaw(fd, wire));
+      EXPECT_TRUE(WaitForClose(fd));
+      close(fd);
+      EXPECT_EQ(server.protocol_errors(), ++errors);
+      EXPECT_EQ(handled.load(), served_calls);
+    }
+  }
 }
 
 TEST_P(ProtocolFuzzTransportTest, ServerAnswersDuplicateCorrelationIdsIndependently) {
@@ -403,21 +430,16 @@ TEST_P(ProtocolFuzzTransportTest, ServerAnswersDuplicateCorrelationIdsIndependen
 
   const int fd = ConnectTo(server.port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(SendRaw(fd, MakeHelloFrame(kProtocolV2)));
   FrameReader reader;
   std::string frame;
-  ASSERT_TRUE(ReadOneFrame(fd, &reader, &frame));
-  ASSERT_FALSE(frame.empty());
-  ASSERT_EQ(static_cast<unsigned char>(frame[0]), kMsgHello);
-
-  ASSERT_TRUE(SendRaw(fd, MakeV2CallFrame(7, "a")));
-  ASSERT_TRUE(SendRaw(fd, MakeV2CallFrame(7, "b")));
+  ASSERT_TRUE(SendRaw(fd, MakeCallFrame(7, "a")));
+  ASSERT_TRUE(SendRaw(fd, MakeCallFrame(7, "b")));
   std::set<std::string> bodies;
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(ReadOneFrame(fd, &reader, &frame));
     Slice input(frame);
     ASSERT_FALSE(input.empty());
-    ASSERT_EQ(static_cast<unsigned char>(input[0]), kMsgReplyV2);
+    ASSERT_EQ(static_cast<unsigned char>(input[0]), kMsgReply);
     input.remove_prefix(1);
     uint64_t id = 0;
     ASSERT_TRUE(util::GetVarint64(&input, &id).ok());
@@ -429,14 +451,14 @@ TEST_P(ProtocolFuzzTransportTest, ServerAnswersDuplicateCorrelationIdsIndependen
   close(fd);
 }
 
-// A scripted v2 peer for client-side reply fuzzing: completes the
-// hello handshake, then answers each call with whatever raw bytes the
-// script produces for that call's correlation id.
-class ScriptedV2Server {
+// A scripted peer for client-side reply fuzzing: answers each call
+// with whatever raw bytes the script produces for that call's
+// correlation id.
+class ScriptedServer {
  public:
   using Script = std::function<std::string(uint64_t corr_id)>;
 
-  explicit ScriptedV2Server(Script script) : script_(std::move(script)) {
+  explicit ScriptedServer(Script script) : script_(std::move(script)) {
     listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
     int one = 1;
     setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -452,7 +474,7 @@ class ScriptedV2Server {
     thread_ = std::thread([this] { Run(); });
   }
 
-  ~ScriptedV2Server() {
+  ~ScriptedServer() {
     shutdown(listen_fd_, SHUT_RDWR);
     close(listen_fd_);
     thread_.join();
@@ -473,16 +495,9 @@ class ScriptedV2Server {
   void Serve(int fd) {
     FrameReader reader;
     std::string frame;
-    bool hello_done = false;
     while (ReadOneFrame(fd, &reader, &frame)) {
       if (frame.empty()) return;
-      if (!hello_done) {
-        if (static_cast<unsigned char>(frame[0]) != kMsgHello) return;
-        if (!SendRaw(fd, MakeHelloFrame(kProtocolV2))) return;
-        hello_done = true;
-        continue;
-      }
-      if (static_cast<unsigned char>(frame[0]) != kMsgCallV2) return;
+      if (static_cast<unsigned char>(frame[0]) != kMsgCall) return;
       Slice input(frame);
       input.remove_prefix(1);
       uint64_t id = 0;
@@ -499,10 +514,10 @@ class ScriptedV2Server {
 };
 
 TEST_P(ProtocolFuzzTransportTest, ClientDiscardsUnknownCorrelationIdReplies) {
-  ScriptedV2Server server([](uint64_t id) {
+  ScriptedServer server([](uint64_t id) {
     // A ghost reply for an id that was never issued, then the real one.
-    return MakeV2ReplyFrame(id + 1'000'000, Status::OK(), "ghost") +
-           MakeV2ReplyFrame(id, Status::OK(), "real");
+    return MakeReplyFrame(id + 1'000'000, Status::OK(), "ghost") +
+           MakeReplyFrame(id, Status::OK(), "real");
   });
 
   TcpChannel channel(FuzzChannelTo(server.port()));
@@ -514,9 +529,9 @@ TEST_P(ProtocolFuzzTransportTest, ClientDiscardsUnknownCorrelationIdReplies) {
 }
 
 TEST_P(ProtocolFuzzTransportTest, ClientIgnoresDuplicateReplies) {
-  ScriptedV2Server server([](uint64_t id) {
-    return MakeV2ReplyFrame(id, Status::OK(), "first") +
-           MakeV2ReplyFrame(id, Status::OK(), "dup");
+  ScriptedServer server([](uint64_t id) {
+    return MakeReplyFrame(id, Status::OK(), "first") +
+           MakeReplyFrame(id, Status::OK(), "dup");
   });
 
   TcpChannel channel(FuzzChannelTo(server.port()));
@@ -535,8 +550,8 @@ TEST_P(ProtocolFuzzTransportTest, ClientIgnoresDuplicateReplies) {
 }
 
 TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnCorruptCorrelationVarint) {
-  ScriptedV2Server server([](uint64_t /*id*/) {
-    std::string payload(1, static_cast<char>(kMsgReplyV2));
+  ScriptedServer server([](uint64_t /*id*/) {
+    std::string payload(1, static_cast<char>(kMsgReply));
     payload.append(10, static_cast<char>(0x80));  // Varint never ends.
     std::string wire;
     AppendFrame(&wire, payload);
@@ -555,9 +570,9 @@ TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnCorruptCorrelationVar
 }
 
 TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnWrongReplyKind) {
-  ScriptedV2Server server([](uint64_t id) {
+  ScriptedServer server([](uint64_t id) {
     // A call frame where a reply should be: framing violation.
-    return MakeV2CallFrame(id, "confused peer");
+    return MakeCallFrame(id, "confused peer");
   });
 
   TcpChannel channel(FuzzChannelTo(server.port()));

@@ -15,10 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "net/frame.h"
 #include "net/io_backend.h"
 #include "net/queue_wire.h"
-#include "net/wire.h"
 #include "queue/queue_repository.h"
 
 namespace rrq::net {
@@ -173,9 +171,9 @@ TEST_P(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
 
   TcpChannel channel(ChannelTo(server.port()));
   ASSERT_TRUE(channel.SendOneWay("oneway").ok());
-  // Since wire v2 the server dispatches to a worker pool, so a call
-  // submitted after the one-way may complete first; poll instead of
-  // relying on ordering.
+  // The server dispatches to a worker pool, so a call submitted after
+  // the one-way may complete first; poll instead of relying on
+  // ordering.
   std::string reply;
   ASSERT_TRUE(channel.Call("sync", &reply).ok());
   EXPECT_EQ(reply, "acked");
@@ -260,7 +258,7 @@ TEST_P(TcpTransportTest, InvalidAddressFailsFastWithoutRetry) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
-// ---- Wire v2: multiplexing, deadlines, negotiation -------------------
+// ---- Multiplexing, deadlines, reconnects -----------------------------
 
 TEST_P(TcpTransportTest, ConcurrentCallsOnSharedChannelDemuxCorrectly) {
   // Many threads share ONE channel; the server's worker pool completes
@@ -304,7 +302,6 @@ TEST_P(TcpTransportTest, ConcurrentCallsOnSharedChannelDemuxCorrectly) {
   EXPECT_EQ(mismatches.load(), 0);
   // All of it over a single multiplexed connection.
   EXPECT_EQ(channel.connects(), 1u);
-  EXPECT_EQ(channel.negotiated_version(), kProtocolV2);
   EXPECT_EQ(server.requests_served(),
             static_cast<uint64_t>(kThreads * kCallsPerThread));
 }
@@ -351,169 +348,87 @@ TEST_P(TcpTransportTest, DeadlineExpiryDoesNotPoisonTheConnection) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(TcpTransportTest, V1ChannelInteroperatesWithV2Server) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
-    reply->assign("echo:" + request.ToString());
-    return Status::OK();
-  });
-  ASSERT_TRUE(server.Start().ok());
-
-  // A channel capped at v1 never sends a hello; the server must serve
-  // it with the PR 3 serialized behavior.
-  TcpChannelOptions options = ChannelTo(server.port());
-  options.max_protocol_version = kProtocolV1;
-  TcpChannel channel(options);
-  std::string reply;
-  ASSERT_TRUE(channel.Call("old", &reply).ok());
-  EXPECT_EQ(reply, "echo:old");
-  ASSERT_TRUE(channel.Call("timer", &reply).ok());
-  EXPECT_EQ(reply, "echo:timer");
-  EXPECT_EQ(channel.negotiated_version(), kProtocolV1);
-  EXPECT_EQ(channel.connects(), 1u);
-  EXPECT_EQ(server.v1_connections(), 1u);
-}
-
-TEST_P(TcpTransportTest, RawV1BytesInteroperateWithV2Server) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
-    reply->assign("echo:" + request.ToString());
-    return Status::OK();
-  });
-  ASSERT_TRUE(server.Start().ok());
-
-  // Hand-rolled v1 exchange, no TcpChannel involved: the first frame
-  // is a bare kMsgCall, and the reply must be the id-less v1 layout.
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+TEST_P(TcpTransportTest, PeerClosingFirstConnectionDoesNotSerializeTheChannel) {
+  // Regression: the channel used to read any close right after its
+  // first frame as "this server is too old to multiplex" and pinned
+  // itself to one call in flight until SetTarget. A stopping or
+  // SIGKILLed daemon closing a backlogged connection does exactly that,
+  // so one restart serialized a ClerkPool for its lifetime.
+  const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  int one = 1;
+  setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listen_fd, 8), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
 
-  std::string payload(1, static_cast<char>(kMsgCall));
-  payload += "legacy";
-  std::string wire;
-  AppendFrame(&wire, payload);
-  ASSERT_EQ(send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
-
-  FrameReader reader;
-  std::string frame;
-  Status next = Status::NotFound("no data");
-  while (next.IsNotFound()) {
-    char buf[4096];
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    reader.Feed(Slice(buf, static_cast<size_t>(n)));
-    next = reader.Next(&frame);
-  }
-  ASSERT_TRUE(next.ok()) << next.ToString();
-  Slice reply(frame);
-  ASSERT_TRUE(DecodeStatus(&reply).ok());
-  EXPECT_EQ(reply, Slice("echo:legacy"));
-  close(fd);
-}
-
-// A minimal PR 3-era peer: speaks only wire v1 and, like the old
-// thread-per-connection server, drops any connection whose frame kind
-// it does not recognize (which is what a real v1 binary does when a
-// v2 hello arrives).
-class MiniV1Server {
- public:
-  MiniV1Server() {
-    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    int one = 1;
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    listen(listen_fd_, 8);
-    socklen_t len = sizeof(addr);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
-    thread_ = std::thread([this] { Run(); });
-  }
-
-  ~MiniV1Server() {
-    shutdown(listen_fd_, SHUT_RDWR);
-    close(listen_fd_);
-    thread_.join();
-  }
-
-  uint16_t port() const { return port_; }
-  int rejected_hellos() const { return rejected_hellos_.load(); }
-
- private:
-  void Run() {
-    while (true) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) return;  // Listener closed: shut down.
-      ServeConnection(fd);
-      close(fd);
-    }
-  }
-
-  void ServeConnection(int fd) {
-    FrameReader reader;
-    std::string frame;
-    while (true) {
-      char buf[4096];
-      const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) return;
-      reader.Feed(Slice(buf, static_cast<size_t>(n)));
-      while (true) {
-        Status s = reader.Next(&frame);
-        if (s.IsNotFound()) break;
-        if (!s.ok() || frame.empty()) return;
-        const auto kind = static_cast<unsigned char>(frame[0]);
-        if (kind != kMsgCall) {
-          // kMsgHello lands here: unknown kind, drop the connection.
-          if (kind == kMsgHello) rejected_hellos_.fetch_add(1);
-          return;
-        }
-        std::string payload;
-        EncodeStatus(Status::OK(), &payload);
-        payload += "v1:";
-        payload.append(frame.data() + 1, frame.size() - 1);
-        std::string wire;
-        AppendFrame(&wire, payload);
-        if (send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
-            static_cast<ssize_t>(wire.size())) {
-          return;
-        }
-      }
-    }
-  }
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<int> rejected_hellos_{0};
-  std::thread thread_;
-};
-
-TEST_P(TcpTransportTest, V2ChannelFallsBackAgainstV1Server) {
-  MiniV1Server server;
-
-  TcpChannelOptions options = ChannelTo(server.port());
+  TcpChannelOptions options = ChannelTo(port);
   options.max_connect_attempts = 10;
   TcpChannel channel(options);
-  std::string reply;
-  ASSERT_TRUE(channel.Call("antique", &reply).ok());
-  EXPECT_EQ(reply, "v1:antique");
-  EXPECT_EQ(channel.negotiated_version(), kProtocolV1);
-  // The hello-probe connection the server dropped never became an
-  // established connection, so connects() counts only the v1 one; the
-  // server-side rejected-hello count proves the probe happened.
-  EXPECT_EQ(channel.connects(), 1u);
-  EXPECT_EQ(server.rejected_hellos(), 1);
+  Status first = Status::OK();
+  std::thread first_call([&channel, &first] {
+    std::string reply;
+    first = channel.Call("first", &reply);
+  });
 
-  // Later calls stick with v1 without re-probing.
-  ASSERT_TRUE(channel.Call("again", &reply).ok());
-  EXPECT_EQ(reply, "v1:again");
-  EXPECT_EQ(channel.connects(), 1u);
-  EXPECT_EQ(server.rejected_hellos(), 1);
+  // The dying peer: accept the channel's connection, drop it, and stop
+  // listening. A real server then takes over the port.
+  const int conn_fd = accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(conn_fd, 0);
+  close(conn_fd);
+  close(listen_fd);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  TcpServerOptions server_options = ServerOpts();
+  server_options.port = port;
+  server_options.workers = 4;
+  // A 2-party barrier for the "pair" calls: each reports whether its
+  // partner reached the handler while it was still inside.
+  TcpServer server(server_options, [&](const Slice& request,
+                                       std::string* reply) {
+    if (!request.starts_with("pair")) {
+      reply->assign("solo");
+      return Status::OK();
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    const bool met = cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&arrived] { return arrived >= 2; });
+    reply->assign(met ? "together" : "alone");
+    return Status::OK();
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // The first call's bytes may have reached the dead peer: it may fail,
+  // and it is never resent.
+  first_call.join();
+  EXPECT_TRUE(first.ok() || first.IsUnavailable()) << first.ToString();
+
+  std::vector<Status> statuses(2);
+  std::vector<std::string> replies(2);
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < 2; ++i) {
+    callers.emplace_back([&channel, &statuses, &replies, i] {
+      statuses[i] = channel.Call("pair" + std::to_string(i), &replies[i]);
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+    EXPECT_EQ(replies[i], "together") << i;
+  }
+  // "first" never reached the new server: its bytes were not resent.
+  EXPECT_EQ(server.requests_served(), 2u);
 }
 
 // ---- Per-call deadlines: options, long-polls, stragglers -------------
@@ -670,7 +585,7 @@ TEST_P(TcpTransportTest, LateReplyAccountingMatchesStragglersExactly) {
 }
 
 TEST_P(TcpTransportTest, ConcurrentRetriesAfterConnectionLossAllRecover) {
-  // Regression test for a reconnect-race deadlock. When a v2
+  // Regression test for a reconnect-race deadlock. When a
   // connection dies, the reader fails every pending call BEFORE it
   // announces its exit via reader_done_, so the failed callers retry
   // immediately and pile up inside EnsureConnectedLocked() waiting for

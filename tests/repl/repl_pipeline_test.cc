@@ -147,7 +147,13 @@ TEST(ReplPipelineTest, RestartedBackupResumesWithoutDoubleApply) {
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(primary.Enqueue(nullptr, "q", std::to_string(i)).ok());
     }
-    ASSERT_TRUE(Eventually([&] { return *backup.repo->Depth("q") == 5; }));
+    // Wait for the watermark too: a seed applies its elements before
+    // SnapshotEnd commits the watermark, so depth alone can read 5
+    // while the watermark still reads 0.
+    ASSERT_TRUE(Eventually([&] {
+      return *backup.repo->Depth("q") == 5 &&
+             backup.repo->applied_repl_seq() == log.head_seq();
+    }));
     watermark_before = backup.repo->applied_repl_seq();
     sender.Stop();
   }
