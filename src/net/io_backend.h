@@ -9,7 +9,7 @@
 ///     epoll_* syscalls live in that translation unit.
 ///   - uring_backend.cc: an io_uring completion loop (multishot
 ///     IORING_OP_RECV into a provided-buffer ring, multishot accept,
-///     a registered poll on the wake eventfd, and WRITEV SQEs for
+///     a registered poll on the wake eventfd, and SENDMSG SQEs for
 ///     backpressured reply flushes). All io_uring_* syscalls live
 ///     there, including the runtime capability probe.
 ///
@@ -151,7 +151,7 @@ class ServerIoBackend {
   virtual Status SubmitRecv(const std::shared_ptr<ServerConn>& conn) = 0;
 
   /// Arms write interest for a conn whose flush left want_write set.
-  /// The backend drains the outbox (writev SQEs on uring, EPOLLOUT +
+  /// The backend drains the outbox (sendmsg SQEs on uring, EPOLLOUT +
   /// FlushOutboxLocked on epoll) until empty, clearing want_write, or
   /// reports failure via OnConnError.
   virtual void SubmitWritev(const std::shared_ptr<ServerConn>& conn) = 0;

@@ -96,6 +96,26 @@ bool QueueRequestMayBlock(const Slice& request) {
 // ---------------------------------------------------------------------------
 // QueueServiceDispatcher
 
+namespace {
+
+// The ops an unpromoted backup refuses and whose replies wait for the
+// backup's ack on a replicating primary.
+bool MutatesState(unsigned char op) {
+  switch (op) {
+    case kOpRegister:
+    case kOpDeregister:
+    case kOpEnqueue:
+    case kOpDequeue:
+    case kOpKill:
+    case kOpCreateQueue:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 Status QueueServiceDispatcher::Handle(const Slice& request,
                                       std::string* reply) {
   Slice input = request;
@@ -106,29 +126,33 @@ Status QueueServiceDispatcher::Handle(const Slice& request,
   std::string queue;
   RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &queue));
 
+  const bool mutates = MutatesState(op);
   // An unpromoted backup refuses mutations but keeps serving reads
   // and admin ops, so clerks probing a not-yet-promoted daemon get a
   // clean verdict instead of divergent state.
-  if (write_gate_) {
-    switch (op) {
-      case kOpRegister:
-      case kOpDeregister:
-      case kOpEnqueue:
-      case kOpDequeue:
-      case kOpKill:
-      case kOpCreateQueue: {
-        Status gate = write_gate_();
-        if (!gate.ok()) {
-          EncodeStatus(gate, reply);
-          return Status::OK();
-        }
-        break;
-      }
-      default:
-        break;
+  if (mutates && write_gate_) {
+    Status gate = write_gate_();
+    if (!gate.ok()) {
+      EncodeStatus(gate, reply);
+      return Status::OK();
     }
   }
+  const size_t start = reply->size();
+  RRQ_RETURN_IF_ERROR(Dispatch(op, queue, input, reply));
+  if (mutates && reply_gate_) {
+    Status gate = reply_gate_();
+    if (!gate.ok()) {
+      // The commit stands; the client resolves the outcome (§2).
+      reply->resize(start);
+      EncodeStatus(gate, reply);
+    }
+  }
+  return Status::OK();
+}
 
+Status QueueServiceDispatcher::Dispatch(unsigned char op,
+                                        const std::string& queue, Slice input,
+                                        std::string* reply) {
   switch (op) {
     case kOpRegister: {
       std::string registrant;

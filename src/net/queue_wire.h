@@ -110,19 +110,32 @@ class QueueServiceDispatcher {
   void set_promote_fn(std::function<Status()> fn) {
     promote_fn_ = std::move(fn);
   }
-  /// Consulted before every state-mutating op (register, enqueue,
-  /// dequeue, kill, create). A non-OK return is sent to the client as
-  /// the op's status — how an unpromoted backup refuses writes while
-  /// still answering reads and admin ops. Must be thread-safe.
+  /// Consulted before every state-mutating op (register, deregister,
+  /// enqueue, dequeue, kill, create). A non-OK return is sent to the
+  /// client as the op's status — how an unpromoted backup refuses
+  /// writes while still answering reads and admin ops. Must be
+  /// thread-safe.
   void set_write_gate(std::function<Status()> gate) {
     write_gate_ = std::move(gate);
   }
+  /// Runs after every op the write gate covers, before its reply
+  /// leaves — a replicating primary's output-commit point (the ack-mode
+  /// wait for the backup). A non-OK return replaces the op's reply
+  /// with that status; the op's effects stand. Must be thread-safe.
+  void set_reply_gate(std::function<Status()> gate) {
+    reply_gate_ = std::move(gate);
+  }
 
  private:
+  // Executes one decoded op; `input` holds its fields.
+  Status Dispatch(unsigned char op, const std::string& queue, Slice input,
+                  std::string* reply);
+
   queue::QueueRepository* repo_;
   std::function<ReplStatusInfo()> repl_status_fn_;
   std::function<Status()> promote_fn_;
   std::function<Status()> write_gate_;
+  std::function<Status()> reply_gate_;
 };
 
 /// queue::QueueApi over any Channel speaking the byte protocol — the

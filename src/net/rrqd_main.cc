@@ -27,11 +27,12 @@
 // reveals exactly how many times each request executed, which is what
 // the cross-process exactly-once test verifies.
 //
-// Replication (PR 9): "--role primary --replicate-to H:P" ships every
+// Replication: "--role primary --replicate-to H:P" ships every
 // committed record to the backup daemon's replication listener at
-// H:P; "--repl-mode ack" additionally holds each commit's visibility
-// until the backup acknowledges it (semi-synchronous — the local
-// commit stands and the error surfaces if the backup is unreachable).
+// H:P; "--repl-mode ack" additionally holds each client op's reply
+// until the backup acknowledged every record appended before the op
+// finished (semi-synchronous — commits never wait, the local commit
+// stands, and an ack timeout replaces the reply with Unavailable).
 // "--role backup --repl-port P" serves the replication protocol on a
 // second listener (announced as "rrqd: repl listening on <host>:<port>")
 // and refuses client writes until a Promote admin op arrives; the
@@ -58,6 +59,7 @@
 #include "net/tcp_transport.h"
 #include "queue/envelope.h"
 #include "queue/queue_repository.h"
+#include "repl/ack_gate.h"
 #include "repl/replica_applier.h"
 #include "repl/replication_log.h"
 #include "repl/replication_sender.h"
@@ -225,21 +227,14 @@ int main(int argc, char** argv) {
   }
 
   // Primary role: every commit's record is appended to the in-memory
-  // replication log, which the sender drains to the backup. In ack
-  // mode the sink also blocks (bounded) until the backup acknowledged
-  // the record — but only once the sender is running, so boot-time
-  // commits (queue provisioning, recovery side effects) don't stall
-  // against a backup that isn't connected yet. An unreachable backup
-  // must not throttle the primary to one commit per ack timeout
-  // either: after kAckDegradeAfter consecutive timeouts the gate
-  // degrades to async (the conventional semi-sync escape), and
-  // re-engages once the sender reports shipping again.
+  // replication log, which the sender drains to the backup. The sink
+  // runs under the repository's per-shard delivery tickets, so log
+  // order is apply order, and it never blocks: in ack mode the wait
+  // for the backup happens at the reply (the dispatcher's reply gate
+  // below), not at the commit.
   repl::ReplicationLog repl_log;
-  std::atomic<bool> ack_gate{false};
-  std::atomic<uint32_t> ack_misses{0};
-  constexpr uint64_t kAckTimeoutMicros = 5'000'000;
-  constexpr uint32_t kAckDegradeAfter = 2;
   std::unique_ptr<repl::ReplicationSender> sender;  // Created below.
+  std::unique_ptr<repl::AckGate> ack_gate;          // Ack mode only.
 
   queue::RepositoryOptions repo_options;
   repo_options.env = env;
@@ -249,25 +244,9 @@ int main(int argc, char** argv) {
     return txn_mgr.WasCommitted(id);
   };
   if (is_primary) {
-    repo_options.replication_sink = [&repl_log, &ack_gate, &ack_misses,
-                                     &sender, repl_ack](const Slice& record) {
-      const uint64_t seq = repl_log.Append(record.ToString());
-      if (!repl_ack || !ack_gate.load(std::memory_order_acquire)) {
-        return Status::OK();
-      }
-      if (ack_misses.load(std::memory_order_acquire) >= kAckDegradeAfter) {
-        if (sender == nullptr || sender->state().state != "shipping") {
-          return Status::OK();  // Degraded: backup still unreachable.
-        }
-        ack_misses.store(0, std::memory_order_release);
-      }
-      Status s = repl_log.WaitAcked(seq, kAckTimeoutMicros);
-      if (s.IsUnavailable()) {
-        ack_misses.fetch_add(1, std::memory_order_acq_rel);
-      } else if (s.ok()) {
-        ack_misses.store(0, std::memory_order_release);
-      }
-      return s;
+    repo_options.replication_sink = [&repl_log](const Slice& record) {
+      repl_log.Append(record.ToString());
+      return Status::OK();
     };
   }
   queue::QueueRepository repo("qm", repo_options);
@@ -377,6 +356,10 @@ int main(int argc, char** argv) {
     repl_tcp_options.bind_address = host;
     repl_tcp_options.port = static_cast<uint16_t>(repl_port);
     repl_tcp_options.backend = net_backend;
+    // One sender keeps one call in flight and the applier serializes on
+    // its own lock, so more workers add no parallelism — only threads
+    // whose allocator caches each hold on to multi-record Ship buffers.
+    repl_tcp_options.workers = 1;
     repl_server = std::make_unique<net::TcpServer>(
         repl_tcp_options,
         [&applier](const Slice& request, std::string* reply) {
@@ -445,7 +428,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rrqd: sender: %s\n", s.ToString().c_str());
       return 1;
     }
-    ack_gate.store(true, std::memory_order_release);
+    if (repl_ack) {
+      // Output commit: a client op's reply waits until the backup
+      // acked every record appended before the op finished. Boot-time
+      // commits (queue provisioning, recovery) are not client output
+      // and never wait.
+      ack_gate = std::make_unique<repl::AckGate>(&repl_log, [&sender]() {
+        return sender->state().state == "shipping";
+      });
+      dispatcher.set_reply_gate([&ack_gate]() {
+        return ack_gate->WaitForHead();
+      });
+    }
     dispatcher.set_replication_status_fn([&sender]() {
       const repl::ReplicationState st = sender->state();
       net::ReplStatusInfo info;
@@ -493,6 +487,13 @@ int main(int argc, char** argv) {
 
   std::printf("rrqd: shutting down\n");
   std::fflush(stdout);
+  if (ack_gate != nullptr) {
+    std::fprintf(stderr,
+                 "rrqd: ack_gate calls=%llu waits=%llu timeouts=%llu\n",
+                 static_cast<unsigned long long>(ack_gate->calls()),
+                 static_cast<unsigned long long>(ack_gate->waits()),
+                 static_cast<unsigned long long>(ack_gate->timeouts()));
+  }
   if (sender != nullptr) sender->Stop();
   repl_log.Shutdown();
   tcp.Stop();

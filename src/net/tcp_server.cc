@@ -17,7 +17,7 @@
 //     syscall, not one per request. Elastic threads and backpressured
 //     sockets flush as before: on EAGAIN the writer leaves
 //     `want_write` set and asks the loop to arm write interest
-//     (EPOLLOUT on epoll, a WRITEV SQE on uring).
+//     (EPOLLOUT on epoll, a SENDMSG SQE on uring).
 //   - Connection objects travel by shared_ptr, so a worker finishing a
 //     handler after the peer hung up writes to nothing: `closed` is
 //     checked under the same mutex that guards the fd.
@@ -370,7 +370,7 @@ void TcpServer::EnqueueReply(const std::shared_ptr<Conn>& conn,
     if (conn->closed || conn->write_failed) return;
     conn->outbox.push_back(std::move(framed));
     // If the backend already owns draining this outbox (EPOLLOUT armed
-    // or a WRITEV SQE in flight), just queue: the backend flushes
+    // or a SENDMSG SQE in flight), just queue: the backend flushes
     // everything accumulated — corked in one writev. Otherwise write
     // now, or — on a pool worker — leave the bytes queued for
     // FlushDeferred so the replies this drain produces go out in one

@@ -12,11 +12,13 @@
 //   - per connection, one multishot IORING_OP_RECV drawing from a
 //     registered provided-buffer ring, so inbound bytes arrive as
 //     completions with zero recv syscalls and no EAGAIN probes,
-//   - IORING_OP_WRITEV SQEs for backpressured reply flushes (the
+//   - IORING_OP_SENDMSG SQEs for backpressured reply flushes (the
 //     EPOLLOUT continuation of the epoll backend): the SQE references
 //     the outbox strings in place and a short write resubmits the
 //     remainder at its byte offset — frames are never re-encoded, so
 //     the §2 never-resend contract is untouched by SQE resubmission.
+//     MSG_NOSIGNAL rides on the SQE: a peer reset mid-flush fails the
+//     write with EPIPE instead of raising SIGPIPE in the loop thread.
 //
 // All SQE preparation happens on the loop thread at the top of Wait(),
 // immediately before the enter that submits it. Retired connections
@@ -363,12 +365,12 @@ void PrepSend(io_uring_sqe* sqe, int fd, const void* buf, size_t len,
   sqe->user_data = ud;
 }
 
-void PrepWritev(io_uring_sqe* sqe, int fd, const iovec* iov, unsigned cnt,
-                uint64_t ud) {
-  sqe->opcode = IORING_OP_WRITEV;
+void PrepSendmsg(io_uring_sqe* sqe, int fd, const msghdr* msg, uint64_t ud) {
+  sqe->opcode = IORING_OP_SENDMSG;
   sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(iov);
-  sqe->len = cnt;
+  sqe->addr = reinterpret_cast<uint64_t>(msg);
+  sqe->len = 1;
+  sqe->msg_flags = MSG_NOSIGNAL;
   sqe->user_data = ud;
 }
 
@@ -388,7 +390,7 @@ using uring_internal::PrepPollMultishot;
 using uring_internal::PrepRecvMultishot;
 using uring_internal::PrepRecvSingle;
 using uring_internal::PrepSend;
-using uring_internal::PrepWritev;
+using uring_internal::PrepSendmsg;
 using uring_internal::Ring;
 
 bool UringAvailable(std::string* reason) {
@@ -449,11 +451,13 @@ namespace {
 /// Loop-thread-only.
 struct UringConnState {
   uint64_t recv_ud = 0;   // armed multishot recv, 0 = none
-  uint64_t write_ud = 0;  // in-flight writev, 0 = none
+  uint64_t write_ud = 0;  // in-flight sendmsg, 0 = none
   bool want_recv = false;
-  bool want_writev = false;
+  bool want_send = false;
   bool retired = false;
-  iovec iov[64];  // must outlive the in-flight writev SQE
+  // Both must outlive the in-flight sendmsg SQE.
+  iovec iov[64];
+  msghdr msg{};
 };
 
 UringConnState* St(const std::shared_ptr<ServerConn>& conn) {
@@ -496,7 +500,7 @@ class UringServerBackend final : public ServerIoBackend {
   void SubmitWritev(const std::shared_ptr<ServerConn>& conn) override {
     UringConnState* st = St(conn);
     if (st == nullptr || st->retired) return;
-    st->want_writev = true;
+    st->want_send = true;
     conn_work_.push_back(conn);
   }
 
@@ -537,7 +541,7 @@ class UringServerBackend final : public ServerIoBackend {
 
  private:
   struct Op {
-    enum Kind { kRecv, kWritev } kind;
+    enum Kind { kRecv, kSend } kind;
     std::shared_ptr<ServerConn> conn;
   };
 
@@ -576,9 +580,9 @@ class UringServerBackend final : public ServerIoBackend {
           ops_.emplace(ud, Op{Op::kRecv, conn});
           st->recv_ud = ud;
         }
-        if (st->want_writev && st->write_ud == 0) {
-          st->want_writev = false;
-          ArmWritev(conn, st);
+        if (st->want_send && st->write_ud == 0) {
+          st->want_send = false;
+          ArmSend(conn, st);
         }
       }
     }
@@ -588,7 +592,7 @@ class UringServerBackend final : public ServerIoBackend {
     cancels_.clear();
   }
 
-  void ArmWritev(const std::shared_ptr<ServerConn>& conn, UringConnState* st) {
+  void ArmSend(const std::shared_ptr<ServerConn>& conn, UringConnState* st) {
     unsigned cnt = 0;
     {
       MutexLock guard(conn->mu);
@@ -608,9 +612,12 @@ class UringServerBackend final : public ServerIoBackend {
         if (++cnt == 64) break;
       }
     }
+    st->msg = msghdr{};
+    st->msg.msg_iov = st->iov;
+    st->msg.msg_iovlen = cnt;
     const uint64_t ud = next_ud_++;
-    PrepWritev(GetSqeBlocking(), conn->fd, st->iov, cnt, ud);
-    ops_.emplace(ud, Op{Op::kWritev, conn});
+    PrepSendmsg(GetSqeBlocking(), conn->fd, &st->msg, ud);
+    ops_.emplace(ud, Op{Op::kSend, conn});
     st->write_ud = ud;
   }
 
@@ -648,7 +655,7 @@ class UringServerBackend final : public ServerIoBackend {
     if (it->second.kind == Op::kRecv) {
       HandleRecv(cqe, it);
     } else {
-      HandleWritev(cqe, it);
+      HandleSend(cqe, it);
     }
   }
 
@@ -694,7 +701,7 @@ class UringServerBackend final : public ServerIoBackend {
     if (cqe.res != -ECANCELED) sink_->OnConnError(conn);
   }
 
-  void HandleWritev(const io_uring_cqe& cqe,
+  void HandleSend(const io_uring_cqe& cqe,
                     std::unordered_map<uint64_t, Op>::iterator it) {
     std::shared_ptr<ServerConn> conn = it->second.conn;
     UringConnState* st = St(conn);
@@ -736,7 +743,7 @@ class UringServerBackend final : public ServerIoBackend {
       return;
     }
     if (again) {
-      st->want_writev = true;
+      st->want_send = true;
       conn_work_.push_back(conn);
     }
   }

@@ -557,6 +557,18 @@ QueueRepository::ReplTicket QueueRepository::AcquireReplTicket(Shard* s)
   return ReplTicket{s, s->repl_next++};
 }
 
+uint64_t QueueRepository::ReplBarrierLocked(Shard* s) REQUIRES(s->mu) {
+  if (options_.replication_sink == nullptr) return 0;
+  MutexLock guard(s->repl_mu);
+  return s->repl_next;
+}
+
+void QueueRepository::AwaitReplDelivery(Shard* s, uint64_t barrier) {
+  if (options_.replication_sink == nullptr) return;
+  MutexLock guard(s->repl_mu);
+  while (s->repl_done < barrier) s->repl_cv.Wait(s->repl_mu);
+}
+
 Status QueueRepository::DeliverReplica(const std::vector<ReplTicket>& tickets,
                                        const std::string& record) {
   if (tickets.empty()) return Status::OK();
@@ -680,15 +692,16 @@ Status QueueRepository::FinishCommit(CommitHandoff h,
       return sync;
     }
   }
-  // Replication delivery runs before waiter wakeup: under an ack-mode
-  // sink a blocked dequeuer must not be woken into the commit's
-  // effects until the backup holds the record, or it could act on
+  // Replication delivery runs before waiter wakeup: under a sink that
+  // blocks until the backup holds the record, a blocked dequeuer must
+  // not be woken into the commit's effects early, or it could act on
   // state that a failover would lose. Note the scope: this gates
   // *wakeup*, not visibility — the effects were published when the
   // shard lock dropped after StageCommitLocked, so a polling
   // (timeout=0) Dequeue or Depth can observe them before the ack.
   // (The commit itself already stands locally either way — the sink's
-  // verdict is surfaced to the committer.)
+  // verdict is surfaced to the committer.) rrqd's sink only appends
+  // and gates each client reply on the backup's ack instead.
   Status rs =
       DeliverReplica(h.tickets, h.replicate ? h.record : std::string());
   NotifyWaiters(h.notify);
@@ -1502,8 +1515,9 @@ Result<RegistrationInfo> QueueRepository::Register(
     const std::string& queue, const std::string& registrant, bool stable) {
   RegistrationInfo info;
   std::shared_ptr<const std::string> last_payload;
+  Shard* s = ShardFor(queue);
+  uint64_t barrier = 0;
   {
-    Shard* s = ShardFor(queue);
     MutexLock guard(s->mu);
     QueueState* qs = s->Find(queue);
     if (qs == nullptr) return Status::NotFound("no such queue: " + queue);
@@ -1517,9 +1531,13 @@ Result<RegistrationInfo> QueueRepository::Register(
       info.last_eid = it->second.last.eid;
       info.last_tag = it->second.last.tag;
       last_payload = it->second.last.payload;
+      barrier = ReplBarrierLocked(s);
     }
   }
   if (info.was_registered) {
+    // The last op may still be on its way to the replication sink; the
+    // caller acts on it (§2 recovery), so it must not outrun its record.
+    AwaitReplDelivery(s, barrier);
     if (last_payload != nullptr) info.last_element = *last_payload;
     return info;
   }
@@ -1605,7 +1623,13 @@ Result<ElementId> QueueRepository::Enqueue(txn::Transaction* t,
     if (rit->second.stable && !tag.empty() &&
         rit->second.last.type == OpType::kEnqueue &&
         Slice(rit->second.last.tag) == tag) {
-      return rit->second.last.eid;
+      // As with re-registration: the original may not have reached the
+      // replication sink yet.
+      const ElementId eid = rit->second.last.eid;
+      const uint64_t barrier = ReplBarrierLocked(ns);
+      guard.Unlock();
+      AwaitReplDelivery(ns, barrier);
+      return eid;
     }
   }
   const ElementId eid = next_eid_.fetch_add(1, std::memory_order_relaxed);

@@ -491,6 +491,12 @@ class QueueRepository final : public txn::ResourceManager {
   // Reserves the next delivery slot on `s` (its lock must be held, so
   // ticket order == apply order).
   ReplTicket AcquireReplTicket(Shard* s);
+  // The delivery slot on `s` that every commit staged so far precedes
+  // (0 without a sink). A read that hands committed state to a caller
+  // without a record of its own waits on it (AwaitReplDelivery, without
+  // shard locks), so the state it returns never outruns its record.
+  uint64_t ReplBarrierLocked(Shard* s);
+  void AwaitReplDelivery(Shard* s, uint64_t barrier);
   // Delivers one record to the sink in ticket order (waits for earlier
   // tickets on every involved shard, calls the sink, releases the
   // slots). Call without shard locks. Consumes the tickets even when

@@ -18,7 +18,7 @@ namespace rrq::repl {
 /// group-commit watermark, so the log's sequence numbers (1, 2, ...)
 /// are exactly apply order. The sender fetches batches and the
 /// backup's acks advance a watermark that both trims the buffer and
-/// releases ack-mode committers.
+/// releases ack-mode waiters (AckGate).
 ///
 /// Retention is bounded: past `max_buffered` records the oldest are
 /// dropped even when unacked. A sender (or a freshly resumed backup)
@@ -54,18 +54,19 @@ class ReplicationLog {
 
   /// Blocks until `seq` is acked, Shutdown() runs, or
   /// `timeout_micros` elapses (Unavailable — the semi-synchronous
-  /// commit gate: the caller's commit stands, the error is surfaced).
+  /// gate: the caller's commit stands, the error is surfaced).
   /// Returns OK immediately between BeginSnapshot()/EndSnapshot().
   Status WaitAcked(uint64_t seq, uint64_t timeout_micros);
 
   /// Marks a seed snapshot in progress: WaitAcked returns OK without
   /// blocking (already-parked waiters are released) until
   /// EndSnapshot(). The sender cannot advance acks while it is busy
-  /// capturing/shipping the seed, so ack-mode committers parking
-  /// behind it would deadlock the capture's delivery drain — and the
-  /// gate is moot anyway: until the seed completes there is no
-  /// consistent backup to fail over to. Ack mode degrades to async
-  /// for the duration of the seed.
+  /// capturing/shipping the seed, so ack-mode waiters parking behind
+  /// it would stall for a full timeout (and a sink that waits would
+  /// deadlock the capture's delivery drain) — and the gate is moot
+  /// anyway: until the seed completes there is no consistent backup
+  /// to fail over to. Ack mode degrades to async for the duration of
+  /// the seed.
   void BeginSnapshot();
   void EndSnapshot();
 
@@ -87,7 +88,7 @@ class ReplicationLog {
 
   mutable Mutex mu_;
   CondVar appended_cv_;  // New records for blocked fetchers.
-  CondVar acked_cv_;     // Watermark advance for ack-mode committers.
+  CondVar acked_cv_;     // Watermark advance for ack-mode waiters.
   std::deque<std::string> records_ GUARDED_BY(mu_);
   uint64_t base_ GUARDED_BY(mu_) = 1;   // Seq of records_.front().
   uint64_t next_ GUARDED_BY(mu_) = 1;   // Next seq to assign.

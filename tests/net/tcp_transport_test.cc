@@ -15,9 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "net/frame.h"
 #include "net/io_backend.h"
 #include "net/queue_wire.h"
+#include "net/wire.h"
 #include "queue/queue_repository.h"
+#include "util/coding.h"
 
 namespace rrq::net {
 namespace {
@@ -256,6 +259,67 @@ TEST_P(TcpTransportTest, InvalidAddressFailsFastWithoutRetry) {
   std::string reply;
   Status s = channel.Call("x", &reply);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+TEST_P(TcpTransportTest, PeerResetDuringBackpressuredFlushIsSurvived) {
+  // A client that never reads, asking for replies far larger than its
+  // receive window, leaves each flush parked on the loop (EPOLLOUT on
+  // epoll, a send SQE on uring). Resetting it mid-flush makes the
+  // parked write fail with ECONNRESET or EPIPE; without MSG_NOSIGNAL
+  // on that write, EPIPE raises SIGPIPE and kills this process.
+  const std::string big(1 << 20, 'x');
+  TcpServerOptions options = ServerOpts();
+  options.workers = 2;
+  TcpServer server(options, [&big](const Slice&, std::string* reply) {
+    reply->assign(big);
+    return Status::OK();
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  constexpr int kPeers = 16;
+  constexpr int kCallsPerPeer = 8;
+  for (int peer = 0; peer < kPeers; ++peer) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    int rcvbuf = 4096;
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    std::string frames;
+    for (int id = 1; id <= kCallsPerPeer; ++id) {
+      std::string payload(1, static_cast<char>(kMsgCall));
+      util::PutVarint64(&payload, static_cast<uint64_t>(id));
+      payload += "gimme";
+      AppendFrame(&frames, payload);
+    }
+    ASSERT_EQ(send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frames.size()));
+    // Let the replies pile up against the full window, then reset.
+    for (int i = 0; i < 200 && server.requests_served() <
+                                   static_cast<uint64_t>((peer + 1) *
+                                                         kCallsPerPeer);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    linger reset{1, 0};
+    setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    close(fd);
+  }
+
+  // Still alive, and still serving.
+  for (int i = 0; i < 500 && server.active_connections() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.active_connections(), 0u);
+  TcpChannel channel(ChannelTo(server.port()));
+  std::string reply;
+  ASSERT_TRUE(channel.Call("after", &reply).ok());
+  EXPECT_EQ(reply.size(), big.size());
 }
 
 // ---- Multiplexing, deadlines, reconnects -----------------------------

@@ -3,6 +3,10 @@
 // via persistent registration.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "client/clerk.h"
@@ -204,6 +208,77 @@ TEST_F(ReplicationTest, SinkFailureSurfacesButLocalCommitStands) {
   // But the local effect stands (semi-synchronous).
   EXPECT_TRUE(lonely.QueueExists("q"));
   EXPECT_GE(lonely.replication_failure_count(), 1u);
+}
+
+TEST(ReplicationDeliveryTest, StateHandedBackNeverOutrunsItsRecord) {
+  // Re-Register hands back the registrant's last op, and a tagged
+  // re-Enqueue is acknowledged from it, without committing anything.
+  // Neither may return before that op's record reached the sink: an
+  // ack-mode rrqd gates each reply on the backup acknowledging the
+  // replication log's head, so state not yet in the log is unguarded.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hold = false;
+  int parked = 0;
+  RepositoryOptions options;
+  options.replication_sink = [&](const Slice&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (hold) {
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return !hold; });
+    }
+    return Status::OK();
+  };
+  QueueRepository repo("primary", options);
+  ASSERT_TRUE(repo.Open().ok());
+  ASSERT_TRUE(repo.CreateQueue("q").ok());
+  ASSERT_TRUE(repo.Register("q", "clerk", /*stable=*/true).ok());
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = true;
+  }
+  Result<ElementId> original = Status::Internal("not run");
+  std::thread writer([&] {
+    original = repo.Enqueue(nullptr, "q", "x", 0, "clerk", "tag-1");
+  });
+  {
+    // The enqueue applied and now waits in the sink.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == 1; });
+  }
+  std::atomic<bool> reregistered{false};
+  std::atomic<bool> deduplicated{false};
+  Result<RegistrationInfo> info = Status::Internal("not run");
+  Result<ElementId> duplicate = Status::Internal("not run");
+  std::thread rejoin([&] {
+    info = repo.Register("q", "clerk", /*stable=*/true);
+    reregistered.store(true);
+  });
+  std::thread resend([&] {
+    duplicate = repo.Enqueue(nullptr, "q", "x", 0, "clerk", "tag-1");
+    deduplicated.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(reregistered.load());
+  EXPECT_FALSE(deduplicated.load());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = false;
+  }
+  cv.notify_all();
+  writer.join();
+  rejoin.join();
+  resend.join();
+
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->last_op, OpType::kEnqueue);
+  EXPECT_EQ(info->last_eid, *original);
+  ASSERT_TRUE(duplicate.ok()) << duplicate.status().ToString();
+  EXPECT_EQ(*duplicate, *original);
+  EXPECT_EQ(*repo.Depth("q"), 1u);
 }
 
 TEST_F(ReplicationTest, ReplicationOverFaultyNetworkCountsFailures) {
