@@ -118,6 +118,17 @@ bool MutatesState(unsigned char op) {
 
 Status QueueServiceDispatcher::Handle(const Slice& request,
                                       std::string* reply) {
+  return Serve(request, reply, /*gate_reply=*/true);
+}
+
+void QueueServiceDispatcher::HandleOneWay(const Slice& request) {
+  std::string ignored;
+  Status s = Serve(request, &ignored, /*gate_reply=*/false);
+  (void)s;  // Nobody to tell: a one-way sender gets no failure signal.
+}
+
+Status QueueServiceDispatcher::Serve(const Slice& request, std::string* reply,
+                                     bool gate_reply) {
   Slice input = request;
   if (input.empty()) return Status::InvalidArgument("empty request");
   const unsigned char op = static_cast<unsigned char>(input[0]);
@@ -139,7 +150,7 @@ Status QueueServiceDispatcher::Handle(const Slice& request,
   }
   const size_t start = reply->size();
   RRQ_RETURN_IF_ERROR(Dispatch(op, queue, input, reply));
-  if (mutates && reply_gate_) {
+  if (mutates && gate_reply && reply_gate_) {
     Status gate = reply_gate_();
     if (!gate.ok()) {
       // The commit stands; the client resolves the outcome (§2).

@@ -98,6 +98,9 @@ class QueueServiceDispatcher {
   /// requests return OK with the app-level status encoded inside
   /// `*reply`.
   Status Handle(const Slice& request, std::string* reply);
+  /// Executes a request that arrived one-way. As Handle, but the reply
+  /// gate is skipped: no reply leaves, so there is no output to hold.
+  void HandleOneWay(const Slice& request);
 
   // ---- Replication hooks (all optional; set before serving) ----------
 
@@ -121,12 +124,15 @@ class QueueServiceDispatcher {
   /// Runs after every op the write gate covers, before its reply
   /// leaves — a replicating primary's output-commit point (the ack-mode
   /// wait for the backup). A non-OK return replaces the op's reply
-  /// with that status; the op's effects stand. Must be thread-safe.
+  /// with that status; the op's effects stand. Not run for one-way
+  /// requests (HandleOneWay). Must be thread-safe.
   void set_reply_gate(std::function<Status()> gate) {
     reply_gate_ = std::move(gate);
   }
 
  private:
+  // Handle, with the reply gate run only when `gate_reply` is set.
+  Status Serve(const Slice& request, std::string* reply, bool gate_reply);
   // Executes one decoded op; `input` holds its fields.
   Status Dispatch(unsigned char op, const std::string& queue, Slice input,
                   std::string* reply);

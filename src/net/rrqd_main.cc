@@ -73,6 +73,10 @@ namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
+// Ack mode's bound on one wait for the backup. A timeout replaces the
+// reply with Unavailable; the local commit stands.
+constexpr uint64_t kAckTimeoutMicros = 5'000'000;
+
 void HandleSignal(int /*sig*/) { g_stop = 1; }
 
 void Usage(const char* argv0) {
@@ -433,9 +437,10 @@ int main(int argc, char** argv) {
       // acked every record appended before the op finished. Boot-time
       // commits (queue provisioning, recovery) are not client output
       // and never wait.
-      ack_gate = std::make_unique<repl::AckGate>(&repl_log, [&sender]() {
-        return sender->state().state == "shipping";
-      });
+      ack_gate = std::make_unique<repl::AckGate>(
+          &repl_log,
+          [&sender]() { return sender->state().state == "shipping"; },
+          kAckTimeoutMicros);
       dispatcher.set_reply_gate([&ack_gate]() {
         return ack_gate->WaitForHead();
       });
@@ -465,6 +470,12 @@ int main(int argc, char** argv) {
                      });
   tcp.set_blocking_hint(
       [](const Slice& request) { return net::QueueRequestMayBlock(request); });
+  // A one-way enqueue sends no reply, so it has no output to hold at
+  // the reply gate; the sender's next gated op covers its record.
+  tcp.set_one_way_handler(
+      [&dispatcher](const Slice& request) {
+        dispatcher.HandleOneWay(request);
+      });
   if (Status s = tcp.Start(); !s.ok()) {
     std::fprintf(stderr, "rrqd: listen: %s\n", s.ToString().c_str());
     return 1;

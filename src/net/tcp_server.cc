@@ -343,8 +343,12 @@ void TcpServer::SubmitBatch() {
 void TcpServer::RunTask(const std::shared_ptr<Conn>& conn, Task task,
                         bool defer_flush) {
   if (task.kind == kMsgOneWay) {
-    std::string ignored;
-    handler_(Slice(task.body), &ignored);
+    if (one_way_handler_) {
+      one_way_handler_(Slice(task.body));
+    } else {
+      std::string ignored;
+      handler_(Slice(task.body), &ignored);
+    }
     served_.fetch_add(1, std::memory_order_relaxed);
   } else {
     std::string reply;

@@ -59,6 +59,10 @@ class TcpServer {
   /// parked long-poll cannot starve the bounded pool. Must be set
   /// before Start() and must be thread-safe.
   using BlockingHint = std::function<bool(const Slice& request)>;
+  /// Serves a message that arrived one-way, for services that must know
+  /// no reply will leave. Unset: the RpcHandler runs and its reply is
+  /// dropped. Must be set before Start() and must be thread-safe.
+  using OneWayHandler = std::function<void(const Slice& message)>;
 
   TcpServer(TcpServerOptions options, RpcHandler handler);
   ~TcpServer();
@@ -67,6 +71,9 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   void set_blocking_hint(BlockingHint hint) { hint_ = std::move(hint); }
+  void set_one_way_handler(OneWayHandler handler) {
+    one_way_handler_ = std::move(handler);
+  }
 
   /// Binds, listens, and starts the I/O loop and worker pool. IOError
   /// when the address cannot be bound.
@@ -168,6 +175,7 @@ class TcpServer {
   TcpServerOptions options_;
   RpcHandler handler_;
   BlockingHint hint_;
+  OneWayHandler one_way_handler_;
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
   int wake_fd_ = -1;

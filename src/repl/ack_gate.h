@@ -10,16 +10,6 @@
 
 namespace rrq::repl {
 
-struct AckGateOptions {
-  /// Bound on one wait for the backup's ack. A timeout is surfaced to
-  /// the caller as Unavailable; the local commit stands.
-  uint64_t timeout_micros = 5'000'000;
-  /// Consecutive timeouts after which the gate degrades to async (the
-  /// semi-sync escape: an unreachable backup must not throttle the
-  /// primary to one op per timeout).
-  uint32_t degrade_after = 2;
-};
-
 /// The ack-mode reply gate of a replicating primary — its
 /// output-commit point. Commits only append to the ReplicationLog;
 /// a client op's reply leaves once the backup acknowledged every record
@@ -29,8 +19,10 @@ struct AckGateOptions {
 /// same shard, so an element's insert precedes the dequeue that
 /// consumed it.
 ///
-/// After `degrade_after` consecutive timeouts the gate stops waiting;
-/// it re-engages on the first call that finds `shipping()` true again.
+/// After two consecutive ack timeouts the gate degrades to async (the
+/// semi-sync escape: an unreachable backup must not throttle the
+/// primary to one op per timeout); it re-engages on the first call
+/// that finds `shipping()` true again.
 /// Between ReplicationLog::BeginSnapshot and EndSnapshot the wait
 /// returns OK at once (no consistent backup exists mid-seed).
 ///
@@ -39,8 +31,10 @@ class AckGate {
  public:
   /// `log` is not owned and must outlive the gate. `shipping` reports
   /// whether the sender currently has a live shipping session.
+  /// `timeout_micros` bounds one wait for the backup's ack; a timeout
+  /// is surfaced as Unavailable and the local commit stands.
   AckGate(ReplicationLog* log, std::function<bool()> shipping,
-          AckGateOptions options = {});
+          uint64_t timeout_micros);
 
   AckGate(const AckGate&) = delete;
   AckGate& operator=(const AckGate&) = delete;
@@ -62,7 +56,7 @@ class AckGate {
  private:
   ReplicationLog* const log_;
   const std::function<bool()> shipping_;
-  const AckGateOptions options_;
+  const uint64_t timeout_micros_;
 
   std::atomic<uint32_t> misses_{0};  // Consecutive timeouts.
   std::atomic<uint64_t> calls_{0};

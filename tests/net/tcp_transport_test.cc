@@ -187,6 +187,32 @@ TEST_P(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
   EXPECT_EQ(channel.one_ways_lost(), 0u);
 }
 
+TEST_P(TcpTransportTest, OneWayHandlerServesOnlyOneWayFrames) {
+  std::atomic<int> rpc_calls{0};
+  std::atomic<int> one_ways{0};
+  TcpServer server(ServerOpts(),
+                   [&rpc_calls](const Slice&, std::string* reply) {
+                     rpc_calls.fetch_add(1);
+                     reply->assign("acked");
+                     return Status::OK();
+                   });
+  server.set_one_way_handler([&one_ways](const Slice& message) {
+    if (message == Slice("oneway")) one_ways.fetch_add(1);
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpChannel channel(ChannelTo(server.port()));
+  ASSERT_TRUE(channel.SendOneWay("oneway").ok());
+  std::string reply;
+  ASSERT_TRUE(channel.Call("sync", &reply).ok());
+  EXPECT_EQ(reply, "acked");
+  for (int i = 0; i < 200 && one_ways.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(one_ways.load(), 1);
+  EXPECT_EQ(rpc_calls.load(), 1);
+}
+
 TEST_P(TcpTransportTest, OneWayToDeadServerIsSilentlyLost) {
   TcpServer probe({}, [](const Slice&, std::string*) { return Status::OK(); });
   ASSERT_TRUE(probe.Start().ok());
@@ -527,6 +553,50 @@ TEST_P(TcpTransportTest, CallOptionsRaiseButNeverLowerTheDeadline) {
   ASSERT_TRUE(channel2.Call("b", &reply, tiny).ok());
   EXPECT_EQ(reply, "late");
   EXPECT_EQ(channel2.deadline_expiries(), 0u);
+}
+
+TEST_P(TcpTransportTest, ReplyGateHoldsCallRepliesButNotOneWays) {
+  queue::QueueRepository repo("qm");
+  ASSERT_TRUE(repo.Open().ok());
+  ASSERT_TRUE(repo.CreateQueue("q").ok());
+  QueueServiceDispatcher dispatcher(&repo);
+  std::atomic<int> gated{0};
+  std::atomic<bool> refuse{false};
+  dispatcher.set_reply_gate([&gated, &refuse]() {
+    gated.fetch_add(1);
+    return refuse.load() ? Status::Unavailable("backup ack timed out")
+                         : Status::OK();
+  });
+  TcpServerOptions server_options = ServerOpts();
+  server_options.workers = 1;  // Runs one connection's frames in order.
+  TcpServer server(server_options,
+                   [&dispatcher](const Slice& request, std::string* reply) {
+                     return dispatcher.Handle(request, reply);
+                   });
+  server.set_one_way_handler(
+      [&dispatcher](const Slice& request) {
+        dispatcher.HandleOneWay(request);
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpChannel channel(ChannelTo(server.port()));
+  ChannelQueueApi api(&channel);
+  ASSERT_TRUE(api.Enqueue("q", "a", 0, "", "", /*one_way=*/true).ok());
+  ASSERT_TRUE(api.Enqueue("q", "b", 0, "", "", /*one_way=*/false).ok());
+  auto depth = api.Depth("q");  // Reads are not gated.
+  ASSERT_TRUE(depth.ok()) << depth.status().ToString();
+  EXPECT_EQ(*depth, 2u);
+  EXPECT_EQ(gated.load(), 1);
+
+  // A refused gate replaces the reply; the commit stands.
+  refuse.store(true);
+  EXPECT_TRUE(api.Enqueue("q", "c", 0, "", "", /*one_way=*/false)
+                  .status()
+                  .IsUnavailable());
+  depth = api.Depth("q");
+  ASSERT_TRUE(depth.ok()) << depth.status().ToString();
+  EXPECT_EQ(*depth, 3u);
+  EXPECT_EQ(gated.load(), 2);
 }
 
 TEST_P(TcpTransportTest, BlockingDequeueOutlivesChannelDefaultDeadline) {

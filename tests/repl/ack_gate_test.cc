@@ -14,16 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-AckGateOptions ShortTimeout() {
-  AckGateOptions options;
-  options.timeout_micros = 20'000;
-  options.degrade_after = 2;
-  return options;
-}
+constexpr uint64_t kShortTimeout = 20'000;
+constexpr uint64_t kLongTimeout = 10'000'000;
 
 TEST(AckGateTest, ReturnsAtOnceWhenHeadIsAcked) {
   ReplicationLog log;
-  AckGate gate(&log, [] { return true; }, ShortTimeout());
+  AckGate gate(&log, [] { return true; }, kShortTimeout);
   // An empty log is trivially acked.
   EXPECT_TRUE(gate.WaitForHead().ok());
   log.Append("a");
@@ -37,9 +33,7 @@ TEST(AckGateTest, ReturnsAtOnceWhenHeadIsAcked) {
 
 TEST(AckGateTest, BlocksUntilAnAckCoversTheHead) {
   ReplicationLog log;
-  AckGateOptions options;
-  options.timeout_micros = 10'000'000;
-  AckGate gate(&log, [] { return true; }, options);
+  AckGate gate(&log, [] { return true; }, kLongTimeout);
   log.Append("a");
   log.Append("b");
   std::atomic<bool> done{false};
@@ -63,7 +57,7 @@ TEST(AckGateTest, BlocksUntilAnAckCoversTheHead) {
 
 TEST(AckGateTest, DegradesToAsyncAfterConsecutiveTimeouts) {
   ReplicationLog log;
-  AckGate gate(&log, [] { return false; }, ShortTimeout());
+  AckGate gate(&log, [] { return false; }, kShortTimeout);
   log.Append("a");
   EXPECT_TRUE(gate.WaitForHead().IsUnavailable());
   EXPECT_FALSE(gate.degraded());
@@ -78,9 +72,8 @@ TEST(AckGateTest, DegradesToAsyncAfterConsecutiveTimeouts) {
 
 TEST(AckGateTest, AnAckBetweenTimeoutsResetsTheDegradeCount) {
   ReplicationLog log;
-  AckGateOptions options = ShortTimeout();
-  options.timeout_micros = 200'000;  // Outlasts the acker's delay.
-  AckGate gate(&log, [] { return false; }, options);
+  // The timeout outlasts the acker's delay.
+  AckGate gate(&log, [] { return false; }, 200'000);
   log.Append("a");
   EXPECT_TRUE(gate.WaitForHead().IsUnavailable());
   std::thread acker([&log] {
@@ -99,7 +92,7 @@ TEST(AckGateTest, ReengagesWhenTheSenderShipsAgain) {
   ReplicationLog log;
   std::atomic<bool> shipping{false};
   AckGate gate(&log, [&shipping] { return shipping.load(); },
-               ShortTimeout());
+               kShortTimeout);
   log.Append("a");
   EXPECT_TRUE(gate.WaitForHead().IsUnavailable());
   EXPECT_TRUE(gate.WaitForHead().IsUnavailable());
@@ -120,9 +113,7 @@ TEST(AckGateTest, ReengagesWhenTheSenderShipsAgain) {
 
 TEST(AckGateTest, ReturnsOkDuringSnapshot) {
   ReplicationLog log;
-  AckGateOptions options;
-  options.timeout_micros = 10'000'000;
-  AckGate gate(&log, [] { return true; }, options);
+  AckGate gate(&log, [] { return true; }, kLongTimeout);
   log.Append("a");
   log.BeginSnapshot();
   const auto start = Clock::now();
@@ -134,9 +125,7 @@ TEST(AckGateTest, ReturnsOkDuringSnapshot) {
 
 TEST(AckGateTest, ShutdownCancelsTheWait) {
   ReplicationLog log;
-  AckGateOptions options;
-  options.timeout_micros = 10'000'000;
-  AckGate gate(&log, [] { return true; }, options);
+  AckGate gate(&log, [] { return true; }, kLongTimeout);
   log.Append("a");
   Status result;
   std::thread waiter([&] { result = gate.WaitForHead(); });
