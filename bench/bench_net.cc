@@ -1,8 +1,6 @@
 // E22 (supersedes E18): TCP transport — RPC latency, queue-op
 // throughput, and loop-syscall cost over a real socket, comparing
-// three client models against the same server under BOTH event-loop
-// backends (epoll readiness loops vs io_uring submission/completion
-// rings, DESIGN.md §13):
+// three client models against the same server (DESIGN.md §13):
 //
 //   serialized      one channel per clerk thread, one call in flight
 //                   per connection (a depth-1 channel, the shape of
@@ -21,12 +19,10 @@
 // trips on one channel (p50/p99/p99.9); throughput as Enqueue+Dequeue
 // pairs, each clerk on a private queue (the paper's client model).
 // Every throughput point also reports the combined client+server
-// loop-syscall deltas (IoLoopStats) per pair — the collapse the uring
-// backend exists to buy.
+// loop-syscall deltas (IoLoopStats) per pair.
 //
 // Each throughput point takes the best of three trials to damp loopback
-// scheduler noise (one trial under --smoke). The uring column is
-// skipped (with the probe's reason) on kernels that cannot run it.
+// scheduler noise (one trial under --smoke).
 //
 // Emits BENCH_net.json (full runs only; --smoke skips the write).
 #include <sys/utsname.h>
@@ -44,7 +40,6 @@
 #include "bench/bench_util.h"
 #include "comm/network.h"
 #include "comm/queue_service.h"
-#include "net/io_backend.h"
 #include "net/queue_wire.h"
 #include "net/tcp_transport.h"
 #include "queue/queue_repository.h"
@@ -126,17 +121,14 @@ struct Tput {
   uint64_t io_syscalls = 0;  // IoLoopStats::io_syscalls(), both sides
 };
 
-uint64_t StatsWaits(const net::IoLoopStats& s) { return s.waits; }
-
 // Synchronous Enqueue+Dequeue pairs from `threads` clerks. With
 // `shared_channel` every clerk calls through one multiplexed channel;
 // otherwise each clerk owns a channel with one call in flight (the
 // serialized PR 3 model).
-Tput MeasureSyncThroughput(net::TcpServer* server, net::IoBackendKind backend,
-                           int threads, bool shared_channel) {
+Tput MeasureSyncThroughput(net::TcpServer* server, int threads,
+                           bool shared_channel) {
   net::TcpChannelOptions options;
   options.port = server->port();
-  options.backend = backend;
   std::unique_ptr<net::TcpChannel> shared;
   std::unique_ptr<net::ChannelQueueApi> shared_api;
   if (shared_channel) {
@@ -177,7 +169,7 @@ Tput MeasureSyncThroughput(net::TcpServer* server, net::IoBackendKind backend,
       }
       if (own) {
         const net::IoLoopStats s = own->io_stats();
-        client_waits.fetch_add(StatsWaits(s));
+        client_waits.fetch_add(s.waits);
         client_syscalls.fetch_add(s.io_syscalls());
       }
     });
@@ -195,7 +187,7 @@ Tput MeasureSyncThroughput(net::TcpServer* server, net::IoBackendKind backend,
                     client_syscalls.load();
   if (shared) {
     const net::IoLoopStats s = shared->io_stats();
-    out.waits += StatsWaits(s);
+    out.waits += s.waits;
     out.io_syscalls += s.io_syscalls();
   }
   return out;
@@ -249,12 +241,10 @@ struct Chain {
 
 // K in-flight chains per channel × M channels. Chain setup (queue
 // creation, registration) happens before the clock starts.
-Tput MeasurePipelinedThroughput(net::TcpServer* server,
-                                net::IoBackendKind backend, int channels,
+Tput MeasurePipelinedThroughput(net::TcpServer* server, int channels,
                                 int inflight_per_channel) {
   net::TcpChannelOptions options;
   options.port = server->port();
-  options.backend = backend;
   std::vector<std::unique_ptr<net::TcpChannel>> chans;
   std::vector<std::unique_ptr<net::ChannelQueueApi>> apis;
   for (int m = 0; m < channels; ++m) {
@@ -315,7 +305,7 @@ Tput MeasurePipelinedThroughput(net::TcpServer* server,
   out.io_syscalls = server_after.io_syscalls() - server_before.io_syscalls();
   for (size_t i = 0; i < chans.size(); ++i) {
     const net::IoLoopStats s = chans[i]->io_stats();
-    out.waits += StatsWaits(s) - StatsWaits(chan_before[i]);
+    out.waits += s.waits - chan_before[i].waits;
     out.io_syscalls += s.io_syscalls() - chan_before[i].io_syscalls();
   }
   return out;
@@ -341,10 +331,7 @@ struct PipelinePoint {
   int inflight;
 };
 
-// Everything measured against one backend's server.
-struct BackendResults {
-  net::IoBackendKind kind = net::IoBackendKind::kEpoll;
-  const char* server_backend = "none";  // what the server actually ran
+struct Results {
   LatencyStats depth_latency;
   LatencyStats read_latency;
   std::vector<std::pair<int, Tput>> serialized;       // threads -> point
@@ -352,12 +339,8 @@ struct BackendResults {
   std::vector<std::pair<PipelinePoint, Tput>> pipelined;
 };
 
-BackendResults RunBackend(net::IoBackendKind kind) {
-  BackendResults results;
-  results.kind = kind;
-
-  // A fresh repository per backend: both columns start from identical
-  // queue state.
+Results RunTcp() {
+  Results results;
   queue::QueueRepository repo("qm", {});
   if (!repo.Open().ok()) Die("repo open", Status::Internal("open failed"));
   for (int t = 0; t < 8; ++t) {
@@ -370,7 +353,6 @@ BackendResults RunBackend(net::IoBackendKind kind) {
   net::QueueServiceDispatcher dispatcher(&repo);
   net::TcpServerOptions server_options;
   server_options.workers = 2;
-  server_options.backend = kind;
   net::TcpServer server(server_options,
                         [&dispatcher](const Slice& request,
                                       std::string* reply) {
@@ -379,12 +361,10 @@ BackendResults RunBackend(net::IoBackendKind kind) {
   server.set_blocking_hint(net::QueueRequestMayBlock);
   Status started = server.Start();
   if (!started.ok()) Die("server start", started);
-  results.server_backend = server.io_backend_name();
 
   // ---- Latency ----
   net::TcpChannelOptions channel_options;
   channel_options.port = server.port();
-  channel_options.backend = kind;
   {
     net::TcpChannel channel(channel_options);
     net::ChannelQueueApi tcp_api(&channel);
@@ -396,34 +376,24 @@ BackendResults RunBackend(net::IoBackendKind kind) {
   // ---- Throughput ----
   for (int threads : {1, 2, 4, 8}) {
     results.serialized.emplace_back(threads, BestOf([&] {
-      return MeasureSyncThroughput(&server, kind, threads, false);
+      return MeasureSyncThroughput(&server, threads, false);
     }));
   }
   for (int threads : {1, 2, 4, 8}) {
     results.shared.emplace_back(threads, BestOf([&] {
-      return MeasureSyncThroughput(&server, kind, threads, true);
+      return MeasureSyncThroughput(&server, threads, true);
     }));
   }
   for (const auto& point : std::vector<PipelinePoint>{
            {1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 32}, {2, 4}, {2, 8}, {4, 8}}) {
     results.pipelined.emplace_back(point, BestOf([&] {
-      return MeasurePipelinedThroughput(&server, kind, point.channels,
+      return MeasurePipelinedThroughput(&server, point.channels,
                                         point.inflight);
     }));
   }
 
   server.Stop();
   return results;
-}
-
-const Tput* FindPipelined(const BackendResults& r, int channels,
-                          int inflight) {
-  for (const auto& [point, tput] : r.pipelined) {
-    if (point.channels == channels && point.inflight == inflight) {
-      return &tput;
-    }
-  }
-  return nullptr;
 }
 
 std::string KernelRelease() {
@@ -436,18 +406,8 @@ std::string KernelRelease() {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  net::IoBackendKind only_backend = net::IoBackendKind::kAuto;
-  bool backend_filter = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      if (!net::ParseIoBackend(argv[++i], &only_backend)) {
-        fprintf(stderr, "bench_net: unknown --backend %s\n", argv[i]);
-        return 2;
-      }
-      backend_filter = only_backend != net::IoBackendKind::kAuto;
-    }
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   if (smoke) {
     latency_rounds = 200;
@@ -455,38 +415,13 @@ int main(int argc, char** argv) {
     trials = 1;
   }
 
-  printf("E22: TCP transport latency, throughput, and loop syscalls per\n"
-         "backend (volatile repository, loopback TCP)%s\n\n",
-         smoke ? " [smoke]" : "");
+  printf("E22: TCP transport latency, throughput, and loop syscalls\n"
+         "(volatile repository, loopback TCP, kernel %s)%s\n\n",
+         KernelRelease().c_str(), smoke ? " [smoke]" : "");
 
-  std::string probe_reason;
-  const bool have_uring = net::UringAvailable(&probe_reason);
-  printf("kernel %s; io_uring probe: %s%s%s\n\n", KernelRelease().c_str(),
-         have_uring ? "available" : "unavailable",
-         have_uring ? "" : " — ", have_uring ? "" : probe_reason.c_str());
+  const Results r = RunTcp();
 
-  std::vector<BackendResults> all;
-  for (net::IoBackendKind kind :
-       {net::IoBackendKind::kEpoll, net::IoBackendKind::kUring}) {
-    if (backend_filter && kind != only_backend) continue;
-    if (kind == net::IoBackendKind::kUring && !have_uring) {
-      if (backend_filter) {
-        // Same ladder as rrqd: a forced uring on a kernel without it
-        // degrades to epoll rather than failing (the CI smoke for the
-        // uring leg exercises exactly this on older runners).
-        printf("forced uring degrades to epoll: %s\n\n",
-               probe_reason.c_str());
-        all.push_back(RunBackend(net::IoBackendKind::kEpoll));
-      } else {
-        printf("skipping uring column: %s\n\n", probe_reason.c_str());
-      }
-      continue;
-    }
-    all.push_back(RunBackend(kind));
-  }
-
-  // Baseline: the same dispatcher shape behind the simulated Network,
-  // measured once (no TCP, so no backend dimension).
+  // Baseline: the same dispatcher shape behind the simulated Network.
   LatencyStats sim_read_latency;
   {
     queue::QueueRepository repo("qm", {});
@@ -501,70 +436,39 @@ int main(int argc, char** argv) {
   }
 
   // ---- Report ----
-  bench::Table latency_table({"probe", "backend", "mean us", "p50 us",
+  bench::Table latency_table({"probe", "transport", "mean us", "p50 us",
                               "p99 us", "p99.9 us"});
-  auto add_latency = [&latency_table](const char* probe, const char* backend,
+  auto add_latency = [&latency_table](const char* probe, const char* transport,
                                       const LatencyStats& s) {
-    latency_table.AddRow({probe, backend, Fmt(s.mean_micros),
+    latency_table.AddRow({probe, transport, Fmt(s.mean_micros),
                           Fmt(s.p50_micros), Fmt(s.p99_micros),
                           Fmt(s.p999_micros)});
   };
-  for (const auto& r : all) {
-    add_latency("Depth", r.server_backend, r.depth_latency);
-    add_latency("Read", r.server_backend, r.read_latency);
-  }
+  add_latency("Depth", "tcp", r.depth_latency);
+  add_latency("Read", "tcp", r.read_latency);
   add_latency("Read", "sim", sim_read_latency);
   latency_table.Print();
   printf("\n");
 
-  bench::Table tput_table({"mode", "backend", "channels", "in flight",
-                           "ops/s", "waits/pair", "iosys/pair"});
-  for (const auto& r : all) {
-    for (const auto& [threads, t] : r.serialized) {
-      tput_table.AddRow({"serialized", r.server_backend,
-                         std::to_string(threads), std::to_string(threads),
-                         Fmt(t.ops_per_sec, 0),
-                         Fmt(PerPair(t.waits, t.pairs), 2),
-                         Fmt(PerPair(t.io_syscalls, t.pairs), 2)});
-    }
-    for (const auto& [threads, t] : r.shared) {
-      tput_table.AddRow({"shared channel", r.server_backend, "1",
-                         std::to_string(threads), Fmt(t.ops_per_sec, 0),
-                         Fmt(PerPair(t.waits, t.pairs), 2),
-                         Fmt(PerPair(t.io_syscalls, t.pairs), 2)});
-    }
-    for (const auto& [point, t] : r.pipelined) {
-      tput_table.AddRow({"pipelined", r.server_backend,
-                         std::to_string(point.channels),
-                         std::to_string(point.channels * point.inflight),
-                         Fmt(t.ops_per_sec, 0),
-                         Fmt(PerPair(t.waits, t.pairs), 2),
-                         Fmt(PerPair(t.io_syscalls, t.pairs), 2)});
-    }
+  bench::Table tput_table({"mode", "channels", "in flight", "ops/s",
+                           "waits/pair", "iosys/pair"});
+  auto add_tput = [&tput_table](const char* mode, int channels, int inflight,
+                                const Tput& t) {
+    tput_table.AddRow({mode, std::to_string(channels),
+                       std::to_string(inflight), Fmt(t.ops_per_sec, 0),
+                       Fmt(PerPair(t.waits, t.pairs), 2),
+                       Fmt(PerPair(t.io_syscalls, t.pairs), 2)});
+  };
+  for (const auto& [threads, t] : r.serialized) {
+    add_tput("serialized", threads, threads, t);
+  }
+  for (const auto& [threads, t] : r.shared) {
+    add_tput("shared channel", 1, threads, t);
+  }
+  for (const auto& [point, t] : r.pipelined) {
+    add_tput("pipelined", point.channels, point.channels * point.inflight, t);
   }
   tput_table.Print();
-  printf("\n");
-
-  if (all.size() == 2) {
-    const BackendResults& ep = all[0];
-    const BackendResults& ur = all[1];
-    for (const auto& [c, k] : std::vector<std::pair<int, int>>{{1, 8},
-                                                               {1, 32}}) {
-      const Tput* e = FindPipelined(ep, c, k);
-      const Tput* u = FindPipelined(ur, c, k);
-      if (e == nullptr || u == nullptr) continue;
-      // io_syscalls is the apples-to-apples wait-path cost: epoll's
-      // loops pay wait + recv + send syscalls for a burst, uring's pay
-      // enters (each enter both submits and waits).
-      printf("pipelined %dx%d: uring/epoll ops %.2fx, loop syscalls/pair "
-             "%.2f -> %.2f (%.1fx fewer)\n",
-             c, k, u->ops_per_sec / e->ops_per_sec,
-             PerPair(e->io_syscalls, e->pairs),
-             PerPair(u->io_syscalls, u->pairs),
-             PerPair(e->io_syscalls, e->pairs) /
-                 std::max(PerPair(u->io_syscalls, u->pairs), 1e-9));
-    }
-  }
 
   if (!smoke) {
     auto latency_json = [](const LatencyStats& s) {
@@ -582,70 +486,35 @@ int main(int argc, char** argv) {
 
     std::string json = "{\n  \"experiment\": \"net\",\n";
     json += "  \"kernel\": \"" + KernelRelease() + "\",\n";
-    json += std::string("  \"uring_probe\": {\"available\": ") +
-            (have_uring ? "true" : "false") + ", \"reason\": \"" +
-            probe_reason + "\"},\n";
     json += "  \"sim_read_latency\": " + latency_json(sim_read_latency) +
             ",\n";
-    json += "  \"backends\": {\n";
-    for (size_t b = 0; b < all.size(); ++b) {
-      const BackendResults& r = all[b];
-      json += std::string("    \"") + r.server_backend + "\": {\n";
-      json += "      \"tcp_depth_latency\": " +
-              latency_json(r.depth_latency) + ",\n";
-      json += "      \"tcp_read_latency\": " + latency_json(r.read_latency) +
-              ",\n";
-      json += "      \"serialized\": [\n";
-      for (size_t i = 0; i < r.serialized.size(); ++i) {
-        const auto& [threads, t] = r.serialized[i];
-        json += "        {\"threads\": " + std::to_string(threads) + ", " +
-                tput_json(t) + "}" +
-                (i + 1 < r.serialized.size() ? ",\n" : "\n");
-      }
-      json += "      ],\n      \"shared_channel\": [\n";
-      for (size_t i = 0; i < r.shared.size(); ++i) {
-        const auto& [threads, t] = r.shared[i];
-        json += "        {\"threads\": " + std::to_string(threads) + ", " +
-                tput_json(t) + "}" + (i + 1 < r.shared.size() ? ",\n" : "\n");
-      }
-      json += "      ],\n      \"pipelined\": [\n";
-      for (size_t i = 0; i < r.pipelined.size(); ++i) {
-        const auto& [point, t] = r.pipelined[i];
-        json += "        {\"channels\": " + std::to_string(point.channels) +
-                ", \"inflight_per_channel\": " +
-                std::to_string(point.inflight) + ", \"total_inflight\": " +
-                std::to_string(point.channels * point.inflight) + ", " +
-                tput_json(t) + "}" +
-                (i + 1 < r.pipelined.size() ? ",\n" : "\n");
-      }
-      json += "      ]\n    }";
-      json += (b + 1 < all.size() ? ",\n" : "\n");
+    json += "  \"tcp_depth_latency\": " + latency_json(r.depth_latency) +
+            ",\n";
+    json += "  \"tcp_read_latency\": " + latency_json(r.read_latency) + ",\n";
+    json += "  \"serialized\": [\n";
+    for (size_t i = 0; i < r.serialized.size(); ++i) {
+      const auto& [threads, t] = r.serialized[i];
+      json += "    {\"threads\": " + std::to_string(threads) + ", " +
+              tput_json(t) + "}" +
+              (i + 1 < r.serialized.size() ? ",\n" : "\n");
     }
-    json += "  }";
-
-    if (all.size() == 2) {
-      const Tput* e8 = FindPipelined(all[0], 1, 8);
-      const Tput* u8 = FindPipelined(all[1], 1, 8);
-      const Tput* e32 = FindPipelined(all[0], 1, 32);
-      const Tput* u32 = FindPipelined(all[1], 1, 32);
-      if (e8 != nullptr && u8 != nullptr) {
-        json += ",\n  \"pipelined_1x8_uring_vs_epoll_ops\": " +
-                Fmt(u8->ops_per_sec / e8->ops_per_sec, 2);
-        json += ",\n  \"pipelined_1x8_loop_syscall_reduction\": " +
-                Fmt(PerPair(e8->io_syscalls, e8->pairs) /
-                        std::max(PerPair(u8->io_syscalls, u8->pairs), 1e-9),
-                    2);
-      }
-      if (e32 != nullptr && u32 != nullptr) {
-        json += ",\n  \"pipelined_1x32_uring_vs_epoll_ops\": " +
-                Fmt(u32->ops_per_sec / e32->ops_per_sec, 2);
-        json += ",\n  \"pipelined_1x32_loop_syscall_reduction\": " +
-                Fmt(PerPair(e32->io_syscalls, e32->pairs) /
-                        std::max(PerPair(u32->io_syscalls, u32->pairs), 1e-9),
-                    2);
-      }
+    json += "  ],\n  \"shared_channel\": [\n";
+    for (size_t i = 0; i < r.shared.size(); ++i) {
+      const auto& [threads, t] = r.shared[i];
+      json += "    {\"threads\": " + std::to_string(threads) + ", " +
+              tput_json(t) + "}" + (i + 1 < r.shared.size() ? ",\n" : "\n");
     }
-    json += "\n}\n";
+    json += "  ],\n  \"pipelined\": [\n";
+    for (size_t i = 0; i < r.pipelined.size(); ++i) {
+      const auto& [point, t] = r.pipelined[i];
+      json += "    {\"channels\": " + std::to_string(point.channels) +
+              ", \"inflight_per_channel\": " +
+              std::to_string(point.inflight) + ", \"total_inflight\": " +
+              std::to_string(point.channels * point.inflight) + ", " +
+              tput_json(t) + "}" +
+              (i + 1 < r.pipelined.size() ? ",\n" : "\n");
+    }
+    json += "  ]\n}\n";
     bench::WriteBenchJson("net", json);
   }
   return 0;

@@ -15,11 +15,11 @@
 #     bench::WriteBenchJson (bench/bench_util.h), never by opening
 #     .json files themselves — the helper pins the output location to
 #     the repo root so tooling can find BENCH_*.json regardless of CWD.
-#  4. Event-loop mechanics stay behind the IoBackend seam (DESIGN.md
-#     §13): raw epoll_* / io_uring_* call sites in src/net/ are
-#     confined to epoll_backend.cc and uring_backend.cc. Transport
-#     logic that needs the loop goes through the seam, so a backend
-#     can be swapped (or a third added) without touching it.
+#  4. One event loop (DESIGN.md §13): raw epoll_* calls anywhere in
+#     src/ are confined to src/net/tcp_server.cc, the translation unit
+#     that holds the loop, and src/ uses no kernel submission ring at
+#     all: the ring backend was measured, won nowhere, and was deleted.
+#     (The bracketed letters keep this script from matching itself.)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,12 +60,17 @@ for f in bench/bench_*.cc; do
   fi
 done
 
-# --- 4. Backend syscalls confined to the backend TUs ---------------
-hits=$(grep -rnE '\b(epoll_create1?|epoll_ctl|epoll_wait|io_uring_setup|io_uring_enter|io_uring_register)\s*\(' \
-  src/net/ --include='*.h' --include='*.cc' \
-  | grep -vE '^src/net/(epoll_backend|uring_backend)\.cc:' || true)
+# --- 4. One event loop ----------------------------------------------
+hits=$(grep -rnE '\bepoll_(create1?|ctl|wait|pwait2?)\s*\(' \
+  src/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/net/tcp_server\.cc:' || true)
 if [[ -n "$hits" ]]; then
-  violation "raw epoll_*/io_uring_* call outside src/net/{epoll,uring}_backend.cc (go through the IoBackend seam, DESIGN.md §13)" "$hits"
+  violation "raw epoll_* call outside src/net/tcp_server.cc (the one event loop, DESIGN.md §13)" "$hits"
+fi
+hits=$(grep -rnE 'io_[u]ring|IO[R]ING_|lib[u]ring' \
+  src/ --include='*.h' --include='*.cc' || true)
+if [[ -n "$hits" ]]; then
+  violation "kernel submission ring in src/ (the transport has one epoll loop, DESIGN.md §13)" "$hits"
 fi
 
 # --- Informational: annotation coverage ----------------------------

@@ -54,7 +54,6 @@
 #include <thread>
 
 #include "env/env.h"
-#include "net/io_backend.h"
 #include "net/queue_wire.h"
 #include "net/tcp_transport.h"
 #include "queue/envelope.h"
@@ -84,16 +83,9 @@ void Usage(const char* argv0) {
                "usage: %s --dir <state-dir> [--host H] [--port P] "
                "[--threads N] [--workers N] [--shards N] "
                "[--request-queue NAME] [--no-server]\n"
-               "  [--net-backend auto|epoll|uring] "
-               "[--role primary|backup] [--replicate-to H:P] "
+               "  [--role primary|backup] [--replicate-to H:P] "
                "[--repl-port P] [--repl-mode async|ack] "
                "[--audit-queue NAME]\n"
-               "  --net-backend  event-loop mechanics for the TCP "
-               "listeners (default auto: io_uring when the\n"
-               "              kernel supports it, else epoll; a forced "
-               "uring that cannot come up degrades to\n"
-               "              epoll with a logged reason, never a "
-               "startup failure).\n"
                "  --shards N  queue-repository shards (per-shard WAL "
                "streams; 0 = hardware concurrency).\n"
                "              An existing --dir keeps its on-disk shard "
@@ -135,7 +127,6 @@ int main(int argc, char** argv) {
   int shards = 0;   // 0 = hardware concurrency
   bool run_server = true;
   bool repl_ack = false;
-  net::IoBackendKind net_backend = net::IoBackendKind::kAuto;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -162,11 +153,6 @@ int main(int argc, char** argv) {
       request_queue = next();
     } else if (arg == "--audit-queue") {
       audit_queue = next();
-    } else if (arg == "--net-backend") {
-      if (!net::ParseIoBackend(next(), &net_backend)) {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--no-server") {
       run_server = false;
     } else if (arg == "--role") {
@@ -359,7 +345,6 @@ int main(int argc, char** argv) {
     net::TcpServerOptions repl_tcp_options;
     repl_tcp_options.bind_address = host;
     repl_tcp_options.port = static_cast<uint16_t>(repl_port);
-    repl_tcp_options.backend = net_backend;
     // One sender keeps one call in flight and the applier serializes on
     // its own lock, so more workers add no parallelism — only threads
     // whose allocator caches each hold on to multi-record Ship buffers.
@@ -463,7 +448,6 @@ int main(int argc, char** argv) {
   tcp_options.bind_address = host;
   tcp_options.port = static_cast<uint16_t>(port);
   tcp_options.workers = workers;
-  tcp_options.backend = net_backend;
   net::TcpServer tcp(tcp_options,
                      [&dispatcher](const Slice& request, std::string* reply) {
                        return dispatcher.Handle(request, reply);

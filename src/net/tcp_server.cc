@@ -1,14 +1,10 @@
-// TcpServer: one backend-driven I/O loop plus a bounded worker pool.
-//
-// The kernel mechanics — how readiness/completions are waited for and
-// how bytes move — live behind ServerIoBackend (net/io_backend.h):
-// epoll_backend.cc is the readiness loop from PR 5, uring_backend.cc
-// the io_uring completion loop (DESIGN.md §13). This file keeps the
-// protocol and dispatch logic, which is backend-agnostic.
+// TcpServer: one epoll loop plus a bounded worker pool (DESIGN.md
+// §13). This is the only translation unit that makes raw epoll_*
+// calls (scripts/check_invariants.sh).
 //
 // Threading model, kept deliberately narrow:
 //   - The loop thread is the only code that accepts, reads sockets,
-//     mutates the connection roster, or talks to the backend.
+//     mutates the connection roster, or touches the epoll set.
 //   - Workers run handlers and write replies. A reply is appended to
 //     the connection's outbox under its mutex; a pool worker defers
 //     the socket write until it runs out of queued tasks (or hits a
@@ -16,8 +12,7 @@
 //     writev — and a batch of pipelined requests costs one reply
 //     syscall, not one per request. Elastic threads and backpressured
 //     sockets flush as before: on EAGAIN the writer leaves
-//     `want_write` set and asks the loop to arm write interest
-//     (EPOLLOUT on epoll, a SENDMSG SQE on uring).
+//     `want_write` set and asks the loop to arm EPOLLOUT.
 //   - Connection objects travel by shared_ptr, so a worker finishing a
 //     handler after the peer hung up writes to nothing: `closed` is
 //     checked under the same mutex that guards the fd.
@@ -28,8 +23,10 @@
 // (net/wire.h), so they leave in completion order. A frame of any kind
 // but kMsgCall or kMsgOneWay closes the connection as a protocol error.
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -39,7 +36,6 @@
 #include "net/tcp_transport.h"
 #include "net/wire.h"
 #include "util/coding.h"
-#include "util/logging.h"
 
 namespace rrq::net {
 
@@ -54,6 +50,13 @@ namespace {
 // TcpServer::BlockingHint); past it such requests fall back to the
 // bounded pool.
 constexpr int kMaxBlockingThreads = 64;
+
+int EpollCtl(int epoll_fd, int op, int fd, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  return epoll_ctl(epoll_fd, op, fd, &ev);
+}
 
 }  // namespace
 
@@ -101,23 +104,17 @@ Status TcpServer::Start() {
     close(fd);
     return s;
   }
-  listen_fd_ = fd;
-
-  std::string note;
-  const IoBackendKind resolved = ResolveIoBackend(options_.backend, &note);
-  if (!note.empty()) {
-    RRQ_LOG(kWarn) << "tcp_server: " << note;
-  }
-  backend_ = CreateServerIoBackend(resolved, &io_counters_);
-  Status started = backend_->Start(listen_fd_, wake_fd_, &sink_);
-  if (!started.ok()) {
-    close(listen_fd_);
+  epoll_fd_ = epoll_create1(0);
+  if (epoll_fd_ < 0) {
+    Status s = Errno("epoll_create1");
+    close(fd);
     close(wake_fd_);
-    listen_fd_ = wake_fd_ = -1;
-    backend_.reset();
-    return started;
+    wake_fd_ = -1;
+    return s;
   }
-  backend_name_.store(backend_->name(), std::memory_order_relaxed);
+  listen_fd_ = fd;
+  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN);
+  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN);
 
   int workers = options_.workers;
   if (workers <= 0) {
@@ -169,38 +166,25 @@ void TcpServer::Stop() {
     }
   }
 
-  // Workers are gone: nobody references the ring or the epoll set any
-  // more, so the backend can drop in-flight operations.
-  if (backend_) backend_->Shutdown();
-
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;
-  {
-    MutexLock guard(conns_mu_);
-    conns.swap(conns_);
-  }
-  for (auto& [fd, conn] : conns) {
+  // The loop and the workers are gone: the roster is ours.
+  close(epoll_fd_);
+  epoll_fd_ = -1;
+  for (auto& [fd, conn] : conns_) {
     MutexLock guard(conn->mu);
     conn->closed = true;
     close(conn->fd);
   }
+  conns_.clear();
   active_conns_.store(0, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    // A uring multishot accept holds the listening socket until the
-    // kernel finishes tearing the ring down, which it does
-    // asynchronously. Until then connects would still succeed into the
-    // backlog, and a client's request bytes would go to a server that
-    // will never read them. shutdown() stops the listener now.
-    shutdown(listen_fd_, SHUT_RDWR);
-    close(listen_fd_);
-  }
-  if (wake_fd_ >= 0) close(wake_fd_);
+  // shutdown() acts on the socket, not on this descriptor: the listener
+  // stops taking connections now even if another descriptor still
+  // refers to it (a copy inherited by a child forked meanwhile).
+  // Otherwise a connect could still land in the backlog, and a client's
+  // request bytes go to a server that will never read them.
+  shutdown(listen_fd_, SHUT_RDWR);
+  close(listen_fd_);
+  close(wake_fd_);
   listen_fd_ = wake_fd_ = -1;
-}
-
-std::shared_ptr<TcpServer::Conn> TcpServer::LookupConn(int fd) {
-  MutexLock guard(conns_mu_);
-  auto it = conns_.find(fd);
-  return it == conns_.end() ? nullptr : it->second;
 }
 
 void TcpServer::RequestAttention(int fd) {
@@ -220,8 +204,9 @@ void TcpServer::ProcessAttention() {
     fds.swap(attention_);
   }
   for (int fd : fds) {
-    std::shared_ptr<Conn> conn = LookupConn(fd);
-    if (!conn) continue;
+    auto it = conns_.find(fd);
+    if (it == conns_.end()) continue;
+    std::shared_ptr<Conn> conn = it->second;
     bool failed, want;
     {
       MutexLock guard(conn->mu);
@@ -231,14 +216,46 @@ void TcpServer::ProcessAttention() {
     if (failed) {
       CloseConn(conn, false);
     } else if (want) {
-      backend_->SubmitWritev(conn);
+      EpollCtl(epoll_fd_, EPOLL_CTL_MOD, fd, EPOLLIN | EPOLLOUT);
     }
   }
 }
 
 void TcpServer::LoopMain() {
+  epoll_event events[128];
   while (running_.load(std::memory_order_relaxed)) {
-    if (!backend_->Wait().ok()) return;
+    io_counters_.waits.fetch_add(1, std::memory_order_relaxed);
+    const int n = epoll_wait(epoll_fd_, events, 128, -1);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == wake_fd_) {
+        uint64_t tick;
+        while (read(wake_fd_, &tick, sizeof(tick)) > 0) {
+        }
+        io_counters_.recvs.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (fd == listen_fd_) {
+        AcceptAll();
+        continue;
+      }
+      auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;  // Closed earlier in this batch.
+      std::shared_ptr<Conn> conn = it->second;
+      if (events[i].events & EPOLLERR) {
+        CloseConn(conn, false);
+        continue;
+      }
+      if (events[i].events & EPOLLOUT) HandleWritable(conn);
+      // HandleWritable may have reaped the connection.
+      if ((events[i].events & (EPOLLIN | EPOLLHUP)) && conns_.count(fd) != 0) {
+        HandleReadable(conn);
+      }
+    }
     if (!running_.load(std::memory_order_relaxed)) return;
     // Everything this cycle decoded goes to the pool in one handoff.
     SubmitBatch();
@@ -246,45 +263,70 @@ void TcpServer::LoopMain() {
   }
 }
 
-void TcpServer::SinkImpl::OnAccepted(int fd) {
-  SetNonBlocking(fd);
-  SetNoDelay(fd);
-  auto conn = std::make_shared<ServerConn>();
-  conn->fd = fd;
-  {
-    MutexLock guard(server_->conns_mu_);
-    server_->conns_[fd] = conn;
-  }
-  Status armed = server_->backend_->SubmitRecv(conn);
-  if (!armed.ok()) {
-    {
-      MutexLock guard(server_->conns_mu_);
-      server_->conns_.erase(fd);
+void TcpServer::AcceptAll() {
+  while (true) {
+    const int fd = accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN: drained (or transient; epoll re-fires).
     }
-    close(fd);
+    SetNonBlocking(fd);
+    SetNoDelay(fd);
+    if (EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN) != 0) {
+      close(fd);
+      continue;
+    }
+    auto conn = std::make_shared<Conn>();
+    conn->fd = fd;
+    conns_[fd] = std::move(conn);
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    active_conns_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
+  char buf[65536];
+  // Bounded reads per wakeup so one firehose connection cannot pin
+  // the loop; level-triggered epoll re-fires for the rest.
+  for (int round = 0; round < 4; ++round) {
+    const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
+    io_counters_.recvs.fetch_add(1, std::memory_order_relaxed);
+    if (n > 0) {
+      conn->reader.Feed(Slice(buf, static_cast<size_t>(n)));
+      if (!DrainFrames(conn)) {
+        CloseConn(conn, /*protocol_error=*/true);
+        return;
+      }
+      continue;
+    }
+    if (n == 0) {
+      CloseConn(conn, /*protocol_error=*/!conn->reader.AtEnd().ok());
+      return;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    CloseConn(conn, false);  // Reset: the peer is gone.
     return;
   }
-  server_->accepted_.fetch_add(1, std::memory_order_relaxed);
-  server_->active_conns_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void TcpServer::SinkImpl::OnRecvData(const std::shared_ptr<ServerConn>& conn,
-                                     Slice data) {
-  conn->reader.Feed(data);
-  if (!server_->DrainFrames(conn)) {
-    server_->CloseConn(conn, /*protocol_error=*/true);
+void TcpServer::HandleWritable(const std::shared_ptr<Conn>& conn) {
+  bool failed;
+  bool drained;
+  {
+    MutexLock guard(conn->mu);
+    if (conn->closed) return;
+    conn->want_write = false;
+    FlushOutboxLocked(conn.get());
+    failed = conn->write_failed;
+    drained = !conn->want_write;
+  }
+  if (failed) {
+    CloseConn(conn, false);
+  } else if (drained) {
+    EpollCtl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, EPOLLIN);
   }
 }
-
-void TcpServer::SinkImpl::OnRecvEof(const std::shared_ptr<ServerConn>& conn) {
-  server_->CloseConn(conn, /*protocol_error=*/!conn->reader.AtEnd().ok());
-}
-
-void TcpServer::SinkImpl::OnConnError(const std::shared_ptr<ServerConn>& conn) {
-  server_->CloseConn(conn, false);  // Reset: the peer is gone.
-}
-
-void TcpServer::SinkImpl::OnWake() {}
 
 bool TcpServer::DrainFrames(const std::shared_ptr<Conn>& conn) {
   std::string payload;
@@ -373,15 +415,14 @@ void TcpServer::EnqueueReply(const std::shared_ptr<Conn>& conn,
     MutexLock guard(conn->mu);
     if (conn->closed || conn->write_failed) return;
     conn->outbox.push_back(std::move(framed));
-    // If the backend already owns draining this outbox (EPOLLOUT armed
-    // or a SENDMSG SQE in flight), just queue: the backend flushes
-    // everything accumulated — corked in one writev. Otherwise write
-    // now, or — on a pool worker — leave the bytes queued for
-    // FlushDeferred so the replies this drain produces go out in one
-    // writev instead of one syscall each.
+    // If the loop already owns draining this outbox (EPOLLOUT armed),
+    // just queue: it flushes everything accumulated — corked in one
+    // writev. Otherwise write now, or — on a pool worker — leave the
+    // bytes queued for FlushDeferred so the replies this drain produces
+    // go out in one writev instead of one syscall each.
     if (conn->want_write) return;
     if (!defer_flush) {
-      FlushOutboxLocked(conn.get(), &io_counters_);
+      FlushOutboxLocked(conn.get());
       if (conn->want_write || conn->write_failed) RequestAttention(conn->fd);
       return;
     }
@@ -435,11 +476,54 @@ void TcpServer::FlushDeferred() {
   for (const auto& conn : deferred) {
     MutexLock guard(conn->mu);
     if (conn->closed || conn->write_failed) continue;
-    if (conn->want_write) continue;  // The backend drains the outbox.
-    FlushOutboxLocked(conn.get(), &io_counters_);
+    if (conn->want_write) continue;  // The loop drains the outbox.
+    FlushOutboxLocked(conn.get());
     if (conn->want_write || conn->write_failed) RequestAttention(conn->fd);
   }
   deferred.clear();
+}
+
+void TcpServer::FlushOutboxLocked(Conn* conn) {
+  while (!conn->outbox.empty()) {
+    iovec iov[64];
+    int cnt = 0;
+    for (const auto& b : conn->outbox) {
+      const size_t off = (cnt == 0) ? conn->head_off : 0;
+      iov[cnt].iov_base = const_cast<char*>(b.data()) + off;
+      iov[cnt].iov_len = b.size() - off;
+      if (++cnt == 64) break;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(cnt);
+    // Count before sending: a peer holding the reply must observe the
+    // counter already bumped. sendmsg rather than writev for
+    // MSG_NOSIGNAL: a peer that reset the connection costs this
+    // connection an EPIPE, not the whole process a SIGPIPE.
+    io_counters_.sends.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        conn->want_write = true;
+        return;
+      }
+      conn->write_failed = true;  // Peer gone; the loop reaps us.
+      return;
+    }
+    size_t left = static_cast<size_t>(n);
+    while (left > 0) {
+      const size_t avail = conn->outbox.front().size() - conn->head_off;
+      if (left >= avail) {
+        left -= avail;
+        conn->outbox.pop_front();
+        conn->head_off = 0;
+      } else {
+        conn->head_off += left;
+        left = 0;
+      }
+    }
+  }
 }
 
 void TcpServer::CloseConn(const std::shared_ptr<Conn>& conn,
@@ -453,15 +537,9 @@ void TcpServer::CloseConn(const std::shared_ptr<Conn>& conn,
     if (protocol_error) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Closing the fd removes it from the epoll set; in-flight uring
-    // ops are cancelled by Retire below (by user_data, §13).
-    close(conn->fd);
+    close(conn->fd);  // Also removes it from the epoll set.
   }
-  {
-    MutexLock guard(conns_mu_);
-    conns_.erase(conn->fd);
-  }
-  backend_->Retire(conn);
+  conns_.erase(conn->fd);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -11,10 +11,8 @@
 #include <thread>
 
 #include "net/socket_util.h"
-#include "net/uring_backend.h"
 #include "net/wire.h"
 #include "util/coding.h"
-#include "util/logging.h"
 
 namespace rrq::net {
 
@@ -83,14 +81,6 @@ struct TcpChannel::Sock {
   Mutex out_mu;
   std::string outbuf GUARDED_BY(out_mu);
   bool writer_active GUARDED_BY(out_mu) = false;
-
-  // When the demux reader runs on io_uring it owns every SQE, so
-  // senders never write the socket themselves: SendFrame parks the writer
-  // role (`ring_handoff`) and kicks the wake eventfd, and the reader
-  // turns the accumulated outbuf into one SEND SQE on its next enter —
-  // a pipelined burst's sends and its reply reaping share a syscall.
-  bool ring_mode GUARDED_BY(out_mu) = false;
-  bool ring_handoff GUARDED_BY(out_mu) = false;
 
   ~Sock() {
     if (fd >= 0) close(fd);
@@ -239,39 +229,7 @@ void TcpChannel::BreakConnection(const std::shared_ptr<Sock>& sock) {
 
 void TcpChannel::ReaderMain(std::shared_ptr<Sock> sock) {
   FrameReader reader;
-
-  // Resolve the reader-loop mechanics for this connection. A forced or
-  // preferred uring that cannot be set up degrades to the poll loop
-  // with a logged reason — a connection always comes up (§13).
-  std::unique_ptr<ClientUringIo> uring;
-  {
-    std::string note;
-    const IoBackendKind resolved = ResolveIoBackend(options_.backend, &note);
-    if (resolved == IoBackendKind::kUring) {
-      std::string reason;
-      uring =
-          ClientUringIo::Create(sock->fd, sock->wake_fd, &io_counters_, &reason);
-      if (!uring) {
-        RRQ_LOG(kWarn) << "tcp_channel: io_uring reader setup failed ("
-                       << reason << "); using poll";
-      }
-    } else if (!note.empty()) {
-      RRQ_LOG(kWarn) << "tcp_channel: " << note;
-    }
-  }
-  io_backend_.store(uring ? "uring" : "poll", std::memory_order_relaxed);
-  if (uring) {
-    // From here on senders park their bytes for the ring instead of
-    // writing the socket (SendFrame handoff). Sends issued before this
-    // flips went out directly under the writer_active claim, which the
-    // handoff honors — the two regimes never write concurrently.
-    MutexLock guard(sock->out_mu);
-    sock->ring_mode = true;
-  }
-
-  // set => tear the connection down
-  Status fail = uring ? ReaderLoopUring(sock, &reader, uring.get())
-                      : ReaderLoopPoll(sock, &reader);
+  Status fail = ReaderLoop(sock, &reader);  // set => tear the connection down
 
   // Teardown: fail every pending call, release the connection, and
   // only then announce the exit (a reconnect must not race us).
@@ -361,8 +319,8 @@ Status TcpChannel::DispatchReplies(FrameReader* reader) {
   }
 }
 
-Status TcpChannel::ReaderLoopPoll(const std::shared_ptr<Sock>& sock,
-                                  FrameReader* reader) {
+Status TcpChannel::ReaderLoop(const std::shared_ptr<Sock>& sock,
+                              FrameReader* reader) {
   char buf[65536];
   while (true) {
     if (sock->broken.load(std::memory_order_acquire)) {
@@ -431,83 +389,6 @@ Status TcpChannel::ReaderLoopPoll(const std::shared_ptr<Sock>& sock,
   }
 }
 
-Status TcpChannel::ReaderLoopUring(const std::shared_ptr<Sock>& sock,
-                                   FrameReader* reader, ClientUringIo* io) {
-  while (true) {
-    if (sock->broken.load(std::memory_order_acquire)) {
-      return Status::Unavailable("connection closed");
-    }
-    const uint64_t min_deadline = SweepDeadlines();
-    uint64_t timeout = UINT64_MAX;
-    if (min_deadline != UINT64_MAX) {
-      const uint64_t now = NowMicros();
-      timeout = min_deadline <= now
-                    ? 0
-                    : std::min<uint64_t>(min_deadline - now, 60'000'000);
-    }
-
-    // One enter covers the whole cycle: it submits the recv re-arm and
-    // any queued send bytes, then waits for completions — where the
-    // poll loop pays recv + poll + send for the same burst. A finite
-    // sweep deadline means calls are pending, so the wait may run past
-    // a fresh send's inline completion to the replies it provokes.
-    bool fed = false;
-    ClientUringIo::Events ev;
-    io->Wait(
-        timeout, /*expect_reply=*/min_deadline != UINT64_MAX,
-        [&](Slice chunk) {
-          reader->Feed(chunk);
-          fed = true;
-        },
-        &ev);
-    // A sender that found no writer active parked the role for us
-    // (SendFrame handoff); a completed ring send leaves us holding it.
-    // Either way the role is legitimately ours, so FinishRingSend may
-    // queue the outbuf or retire the role.
-    bool handoff = false;
-    {
-      MutexLock guard(sock->out_mu);
-      handoff = sock->ring_handoff;
-      sock->ring_handoff = false;
-    }
-    if (handoff || ev.send_done) FinishRingSend(sock, io);
-    Status st;
-    if (fed) {
-      // Same corking contract as the poll loop, except the drain rides
-      // the ring: callbacks' calls accumulate in the outbuf and go out
-      // as one SEND SQE on the next enter.
-      const bool corked = CorkOutbuf(sock);
-      st = DispatchReplies(reader);
-      if (corked) FinishRingSend(sock, io);
-    }
-    if (!st.ok()) return st;
-    if (!ev.error.ok()) return ev.error;
-    if (ev.eof) {
-      return Status::Unavailable(reader->AtEnd().ok()
-                                     ? "connection closed by server"
-                                     : "connection torn mid-reply");
-    }
-  }
-}
-
-void TcpChannel::FinishRingSend(const std::shared_ptr<Sock>& sock,
-                                ClientUringIo* io) {
-  if (io->send_inflight()) return;
-  std::string local;
-  {
-    MutexLock guard(sock->out_mu);
-    if (sock->outbuf.empty()) {
-      sock->writer_active = false;
-      return;
-    }
-    local.swap(sock->outbuf);
-    // The writer role stays claimed until the queued bytes complete
-    // (Events::send_done), so concurrent senders keep corking into the
-    // outbuf instead of writing the socket themselves.
-  }
-  io->QueueSend(std::move(local));
-}
-
 void TcpChannel::CallAsync(const Slice& request, Callback done) {
   CallAsync(request, CallOptions{}, std::move(done));
 }
@@ -554,7 +435,6 @@ void TcpChannel::CallAsync(const Slice& request, const CallOptions& options,
 
 Status TcpChannel::SendFrame(const std::shared_ptr<Sock>& sock,
                              std::string framed) {
-  bool handoff = false;
   {
     MutexLock guard(sock->out_mu);
     sock->outbuf.append(framed);
@@ -562,17 +442,6 @@ Status TcpChannel::SendFrame(const std::shared_ptr<Sock>& sock,
     // retires, so these bytes ride its next send.
     if (sock->writer_active) return Status::OK();
     sock->writer_active = true;
-    if (sock->ring_mode) {
-      sock->ring_handoff = true;
-      handoff = true;
-    }
-  }
-  if (handoff) {
-    // The reader's ring owns the socket writes; wake it to turn the
-    // parked outbuf into a SEND SQE. Until the send completes the
-    // writer role stays claimed, so concurrent callers keep corking.
-    KickEventFd(sock->wake_fd);
-    return Status::OK();
   }
   return DrainOutbuf(sock);
 }

@@ -13,17 +13,36 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/io_backend.h"
 #include "net/transport.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace rrq::net {
 
-class ClientUringIo;  // net/uring_backend.h
-
 // See net/wire.h for the payload layout: calls carry correlation ids,
 // so many share one connection and replies arrive in any order.
+
+/// Event-loop I/O syscall counts (DESIGN.md §13), read through
+/// TcpServer::io_stats() and TcpChannel::io_stats().
+struct IoLoopStats {
+  uint64_t waits = 0;  // epoll_wait / poll
+  uint64_t recvs = 0;  // recv, including wake-eventfd drains
+  uint64_t sends = 0;  // sendmsg / send
+  uint64_t io_syscalls() const { return waits + recvs + sends; }
+};
+
+/// The live counters behind IoLoopStats, bumped with relaxed atomics by
+/// whichever thread makes the syscall.
+struct IoCounters {
+  std::atomic<uint64_t> waits{0};
+  std::atomic<uint64_t> recvs{0};
+  std::atomic<uint64_t> sends{0};
+  IoLoopStats Snapshot() const {
+    return {waits.load(std::memory_order_relaxed),
+            recvs.load(std::memory_order_relaxed),
+            sends.load(std::memory_order_relaxed)};
+  }
+};
 
 struct TcpServerOptions {
   std::string bind_address = "127.0.0.1";
@@ -32,15 +51,10 @@ struct TcpServerOptions {
   int backlog = 128;
   /// Handler worker threads. 0 = std::thread::hardware_concurrency().
   int workers = 0;
-  /// Event-loop mechanics (DESIGN.md §13): kAuto prefers io_uring and
-  /// falls back to epoll with a logged reason when the kernel or
-  /// sandbox denies it — never a startup failure.
-  IoBackendKind backend = IoBackendKind::kAuto;
 };
 
-/// Serves an RpcHandler over TCP. One I/O loop — epoll readiness or an
-/// io_uring completion ring, chosen at Start() — owns every
-/// socket (accept, reads, backpressured writes); decoded requests are
+/// Serves an RpcHandler over TCP. One epoll loop owns every socket
+/// (accept, reads, backpressured writes); decoded requests are
 /// executed on a bounded worker pool, so concurrent calls from one
 /// connection — and from many connections — run handlers in parallel
 /// and their commits coalesce into group-commit batches. Completed
@@ -100,19 +114,28 @@ class TcpServer {
   uint64_t active_connections() const {
     return active_conns_.load(std::memory_order_relaxed);
   }
-  /// Per-loop I/O syscall counters for the resolved backend (§13):
-  /// waits/recvs/sends for epoll, enters/SQE batches/CQEs for uring.
-  IoLoopStats io_stats() const {
-    return SnapshotIoCounters(backend_name_.load(std::memory_order_relaxed),
-                              io_counters_);
-  }
-  /// "epoll" or "uring" once started; what kAuto actually resolved to.
-  const char* io_backend_name() const {
-    return backend_name_.load(std::memory_order_relaxed);
-  }
+  /// I/O syscalls made by the loop and by workers' reply flushes.
+  IoLoopStats io_stats() const { return io_counters_.Snapshot(); }
+  /// Read only by perfbench's facts line; a perfbench-only change
+  /// deletes it.
+  const char* io_backend_name() const { return "epoll"; }
 
  private:
-  using Conn = ServerConn;
+  // Per-connection state. The frame reader is loop-thread-only; the
+  // outbox and flush flags follow DESIGN.md §11.
+  struct Conn {
+    int fd = -1;
+    FrameReader reader;  // loop thread only
+
+    Mutex mu;
+    bool closed GUARDED_BY(mu) = false;
+    // A flush hit EAGAIN: the loop owns draining the outbox (EPOLLOUT)
+    // until it clears this again.
+    bool want_write GUARDED_BY(mu) = false;
+    bool write_failed GUARDED_BY(mu) = false;
+    std::deque<std::string> outbox GUARDED_BY(mu);
+    size_t head_off GUARDED_BY(mu) = 0;  // bytes of outbox.front() sent
+  };
   // One decoded request awaiting dispatch.
   struct Task {
     unsigned char kind = 0;  // kMsgCall or kMsgOneWay
@@ -120,23 +143,11 @@ class TcpServer {
     std::string body;
   };
 
-  // ServerIoBackend::Sink — events delivered by backend_->Wait() on
-  // the loop thread.
-  class SinkImpl final : public ServerIoBackend::Sink {
-   public:
-    explicit SinkImpl(TcpServer* server) : server_(server) {}
-    void OnAccepted(int fd) override;
-    void OnRecvData(const std::shared_ptr<ServerConn>& conn,
-                    Slice data) override;
-    void OnRecvEof(const std::shared_ptr<ServerConn>& conn) override;
-    void OnConnError(const std::shared_ptr<ServerConn>& conn) override;
-    void OnWake() override;
-
-   private:
-    TcpServer* const server_;
-  };
-
   void LoopMain();
+  // Loop-thread event handlers.
+  void AcceptAll();
+  void HandleReadable(const std::shared_ptr<Conn>& conn);
+  void HandleWritable(const std::shared_ptr<Conn>& conn);
   // Decodes buffered frames into dispatched tasks; false on protocol
   // violation (caller closes the connection).
   bool DrainFrames(const std::shared_ptr<Conn>& conn);
@@ -161,9 +172,12 @@ class TcpServer {
   // the task may sleep for seconds while a finished reply sits unsent
   // in the outbox with nothing left to send it.
   void PublishDeferredLocked() REQUIRES(pool_mu_);
+  // Drains conn->outbox with vectored sends until empty, EAGAIN (sets
+  // want_write so the loop arms EPOLLOUT), or a hard error (sets
+  // write_failed).
+  void FlushOutboxLocked(Conn* conn) REQUIRES(conn->mu);
   void CloseConn(const std::shared_ptr<Conn>& conn, bool protocol_error);
-  std::shared_ptr<Conn> LookupConn(int fd);
-  // Asks the loop to re-examine `fd` (re-arm write interest / reap a
+  // Asks the loop to re-examine `fd` (arm write interest / reap a
   // failed writer). Safe from any thread.
   void RequestAttention(int fd);
   void ProcessAttention();
@@ -179,20 +193,15 @@ class TcpServer {
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
   int wake_fd_ = -1;
+  int epoll_fd_ = -1;
   uint16_t port_ = 0;
   std::thread loop_;
-
-  // Event-loop mechanics behind the Sink seam. Created in Start()
-  // (kAuto resolves against the uring probe), shut down in Stop().
-  std::unique_ptr<ServerIoBackend> backend_;
-  SinkImpl sink_{this};
   IoCounters io_counters_;
-  std::atomic<const char*> backend_name_{"none"};
 
-  // Connection roster. The loop thread is the only mutator; workers
+  // Connection roster, keyed by fd (epoll events carry only the fd).
+  // Loop thread only, and Stop() once the loop has exited; workers
   // reach connections through the shared_ptr captured at dispatch.
-  Mutex conns_mu_;
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_ GUARDED_BY(conns_mu_);
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 
   Mutex attention_mu_;
   std::vector<int> attention_ GUARDED_BY(attention_mu_);
@@ -239,11 +248,6 @@ struct TcpChannelOptions {
   int max_connect_attempts = 10;
   uint64_t backoff_initial_micros = 2'000;
   uint64_t backoff_max_micros = 250'000;
-  /// Reader-loop mechanics (DESIGN.md §13): kAuto prefers io_uring —
-  /// the demux reader submits corked sends, re-arms its recv, and
-  /// reaps reply completions in one io_uring_enter — and falls back to
-  /// the poll() loop when unavailable.
-  IoBackendKind backend = IoBackendKind::kAuto;
 };
 
 /// Message carried by the Unavailable status a TcpChannel produces
@@ -332,16 +336,11 @@ class TcpChannel final : public Channel {
   /// would — pending calls fail, the next call reconnects. Lets tests
   /// drive the failure/reconnect races against a healthy server.
   void BreakConnectionForTest();
-  /// Per-loop I/O syscall counters for the reader/writer paths (§13).
-  IoLoopStats io_stats() const {
-    return SnapshotIoCounters(io_backend_.load(std::memory_order_relaxed),
-                              io_counters_);
-  }
-  /// "uring" or "poll" for the current (or most recent) connection;
-  /// "none" before the first connect.
-  const char* io_backend_name() const {
-    return io_backend_.load(std::memory_order_relaxed);
-  }
+  /// I/O syscalls made by the reader and the send path (§13).
+  IoLoopStats io_stats() const { return io_counters_.Snapshot(); }
+  /// Read only by perfbench's facts line; a perfbench-only change
+  /// deletes it.
+  const char* io_backend_name() const { return "poll"; }
 
  private:
   struct Sock;  // fd + reader-wake eventfd; closed when the last user lets go
@@ -355,22 +354,15 @@ class TcpChannel final : public Channel {
   Status EnsureConnectedLocked() REQUIRES(mu_);
   Status ConnectOnce(int* fd_out);
   void ReaderMain(std::shared_ptr<Sock> sock);
-  // Reader-loop bodies behind ReaderMain's shared setup/teardown. Each
-  // returns the connection-fatal status.
-  Status ReaderLoopPoll(const std::shared_ptr<Sock>& sock,
-                        FrameReader* reader);
-  Status ReaderLoopUring(const std::shared_ptr<Sock>& sock,
-                         FrameReader* reader, ClientUringIo* io);
+  // The poll() loop behind ReaderMain's teardown; returns the
+  // connection-fatal status.
+  Status ReaderLoop(const std::shared_ptr<Sock>& sock, FrameReader* reader);
   // Fails every expired pending call; returns the earliest remaining
   // deadline (UINT64_MAX = none) and records it as reader_wait_until_.
   uint64_t SweepDeadlines();
   // Dispatches every complete reply frame in `reader` to its pending
   // call; non-OK on a corrupt stream.
   Status DispatchReplies(FrameReader* reader);
-  // Called on a send completion in the uring reader: re-queues bytes
-  // that accumulated while the send was in flight, or retires the
-  // combining-writer role.
-  void FinishRingSend(const std::shared_ptr<Sock>& sock, ClientUringIo* io);
   // Marks the socket dead and wakes the reader, which fails every
   // pending call and clears the connection.
   void BreakConnection(const std::shared_ptr<Sock>& sock);
@@ -407,7 +399,6 @@ class TcpChannel final : public Channel {
   std::atomic<uint64_t> late_replies_{0};
   std::atomic<uint64_t> deadline_expiries_{0};
   IoCounters io_counters_;
-  std::atomic<const char*> io_backend_{"none"};
 };
 
 }  // namespace rrq::net

@@ -38,11 +38,10 @@ namespace {
 
 constexpr int kClerks = 4;
 constexpr int kRequestsPerClerk = 12;
-// Total completions (across all clerks) before the daemon is killed.
-constexpr int kKillAfter = 12;
-// Each driver holds its request with this 1-based index until the kill
-// has landed, so every clerk provably works against the restarted
-// daemon.
+// Each driver holds its request with this 1-based index until the
+// daemon is frozen, then issues it; the daemon dies only once every
+// driver is inside that Execute. So every clerk has an op in flight at
+// the kill and provably resolves it against the restarted daemon.
 constexpr int kHoldIndex = 6;
 
 uint16_t ParsePort(const std::string& listening_line) {
@@ -53,13 +52,8 @@ uint16_t ParsePort(const std::string& listening_line) {
 }
 
 std::vector<std::string> RrqdArgv(const std::string& dir, uint16_t port) {
-  // Forced uring: the daemon this pool hammers (and SIGKILLs) runs the
-  // io_uring backend wherever the kernel has it, degrading to epoll
-  // with a logged reason elsewhere — never a startup failure (§13).
-  return {RRQD_BINARY,  "--dir",     dir,
-          "--port",     std::to_string(port),
-          "--threads",  "2",
-          "--net-backend", "uring"};
+  return {RRQD_BINARY, "--dir", dir, "--port",
+          std::to_string(port), "--threads", "2"};
 }
 
 std::string ParseRidFromReply(const std::string& reply) {
@@ -97,16 +91,23 @@ TEST(ClerkPoolExactlyOnceTest, PoolSurvivesDaemonSigkillMidWorkload) {
   core::PropertyChecker checker;
   std::set<std::string> submitted;
 
-  std::atomic<int> completed{0};
   std::atomic<int> failures{0};
-  std::atomic<bool> killed{false};
+  std::atomic<int> parked{0};   // drivers waiting at kHoldIndex
+  std::atomic<bool> released{false};
+  std::atomic<int> entered{0};  // drivers inside their kHoldIndex Execute
 
-  // The assassin: once kKillAfter requests have completed across the
-  // pool, SIGKILL the daemon, pause, restart it on the same state
-  // directory but a fresh ephemeral port, and retarget the shared
-  // channel at the reborn daemon.
-  std::thread killer([&daemon, &pool, &completed, &killed, &dir]() {
-    while (completed.load(std::memory_order_acquire) < kKillAfter) {
+  // The assassin: once every driver is parked at kHoldIndex, freeze the
+  // daemon, release the holds and wait until every driver is inside its
+  // held Execute. Then SIGKILL the daemon, pause, restart it on the
+  // same state directory but a fresh ephemeral port, and retarget the
+  // shared channel at the reborn daemon.
+  std::thread killer([&daemon, &pool, &parked, &released, &entered, &dir]() {
+    while (parked.load(std::memory_order_acquire) < kClerks) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_TRUE(daemon.Signal(SIGSTOP).ok());
+    released.store(true, std::memory_order_release);
+    while (entered.load(std::memory_order_acquire) < kClerks) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     ASSERT_TRUE(daemon.Signal(SIGKILL).ok());
@@ -119,7 +120,6 @@ TEST(ClerkPoolExactlyOnceTest, PoolSurvivesDaemonSigkillMidWorkload) {
     const uint16_t new_port = ParsePort(*line);
     ASSERT_NE(new_port, 0);
     ASSERT_TRUE(pool.Repoint("127.0.0.1", new_port).ok());
-    killed.store(true, std::memory_order_release);
   });
 
   // One driver thread per clerk, all multiplexing the one socket. Slot
@@ -131,7 +131,8 @@ TEST(ClerkPoolExactlyOnceTest, PoolSurvivesDaemonSigkillMidWorkload) {
     drivers.emplace_back([&, i] {
       for (int j = 1; j <= kRequestsPerClerk; ++j) {
         if (j == kHoldIndex) {
-          while (!killed.load(std::memory_order_acquire)) {
+          parked.fetch_add(1, std::memory_order_acq_rel);
+          while (!released.load(std::memory_order_acquire)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
           }
         }
@@ -142,6 +143,7 @@ TEST(ClerkPoolExactlyOnceTest, PoolSurvivesDaemonSigkillMidWorkload) {
           submitted.insert(rid);
           checker.RecordSubmission(rid);
         }
+        if (j == kHoldIndex) entered.fetch_add(1, std::memory_order_acq_rel);
         auto reply = pool.Execute(static_cast<size_t>(i),
                                   "work-" + rid);
         if (!reply.ok()) {
@@ -160,7 +162,6 @@ TEST(ClerkPoolExactlyOnceTest, PoolSurvivesDaemonSigkillMidWorkload) {
             checker.RecordReplyProcessed(replied_rid);
           }
         }
-        completed.fetch_add(1, std::memory_order_acq_rel);
       }
     });
   }

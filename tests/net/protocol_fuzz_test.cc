@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/io_backend.h"
 #include "net/queue_wire.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
@@ -289,47 +288,17 @@ std::string MakeReplyFrame(uint64_t corr_id, const Status& s,
   return wire;
 }
 
-// Transport-facing fuzz cases run against both event-loop backends —
-// framing violations and demux rules must hold whether the bytes
-// arrive via epoll readiness recv or a uring provided-buffer CQE. The
-// uring row skips (with the probe's reason) where the kernel cannot
-// run it.
-class ProtocolFuzzTransportTest
-    : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    std::string why;
-    if (GetParam() == IoBackendKind::kUring && !UringAvailable(&why)) {
-      GTEST_SKIP() << "io_uring unavailable on this host: " << why;
-    }
-  }
+TcpChannelOptions FuzzChannelTo(uint16_t port) {
+  TcpChannelOptions options;
+  options.port = port;
+  options.max_connect_attempts = 5;
+  options.backoff_initial_micros = 1'000;
+  options.call_timeout_micros = 2'000'000;
+  return options;
+}
 
-  TcpServerOptions ServerOpts() const {
-    TcpServerOptions options;
-    options.backend = GetParam();
-    return options;
-  }
-
-  TcpChannelOptions FuzzChannelTo(uint16_t port) const {
-    TcpChannelOptions options;
-    options.port = port;
-    options.backend = GetParam();
-    options.max_connect_attempts = 5;
-    options.backoff_initial_micros = 1'000;
-    options.call_timeout_micros = 2'000'000;
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ProtocolFuzzTransportTest,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendName(info.param));
-    });
-
-TEST_P(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+TEST(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign(request.ToString());
     return Status::OK();
   });
@@ -364,20 +333,19 @@ TEST_P(ProtocolFuzzTransportTest, ServerDropsCorruptAndUnknownCorrelationFrames)
   // None of it hurt well-behaved clients.
   TcpChannelOptions options;
   options.port = server.port();
-  options.backend = GetParam();
   TcpChannel channel(options);
   std::string reply;
   ASSERT_TRUE(channel.Call("fine", &reply).ok());
   EXPECT_EQ(reply, "fine");
 }
 
-TEST_P(ProtocolFuzzTransportTest, ServerClosesOnRetiredKinds) {
+TEST(ProtocolFuzzTransportTest, ServerClosesOnRetiredKinds) {
   // Kinds 1 (the id-less serialized call) and 3 (a version hello) are
   // retired: whether first on the connection or after a served call,
   // each closes the connection as a protocol error and never reaches
   // the handler.
   std::atomic<int> handled{0};
-  TcpServer server(ServerOpts(), [&handled](const Slice& request,
+  TcpServer server(TcpServerOptions{}, [&handled](const Slice& request,
                                             std::string* reply) {
     handled.fetch_add(1);
     reply->assign(request.ToString());
@@ -418,11 +386,11 @@ TEST_P(ProtocolFuzzTransportTest, ServerClosesOnRetiredKinds) {
   }
 }
 
-TEST_P(ProtocolFuzzTransportTest, ServerAnswersDuplicateCorrelationIdsIndependently) {
+TEST(ProtocolFuzzTransportTest, ServerAnswersDuplicateCorrelationIdsIndependently) {
   // The server does not police id uniqueness — ids are client
   // bookkeeping. Two calls with the same id get two replies carrying
   // that id, and the connection stays healthy.
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign("r:" + request.ToString());
     return Status::OK();
   });
@@ -513,7 +481,7 @@ class ScriptedServer {
   std::thread thread_;
 };
 
-TEST_P(ProtocolFuzzTransportTest, ClientDiscardsUnknownCorrelationIdReplies) {
+TEST(ProtocolFuzzTransportTest, ClientDiscardsUnknownCorrelationIdReplies) {
   ScriptedServer server([](uint64_t id) {
     // A ghost reply for an id that was never issued, then the real one.
     return MakeReplyFrame(id + 1'000'000, Status::OK(), "ghost") +
@@ -528,7 +496,7 @@ TEST_P(ProtocolFuzzTransportTest, ClientDiscardsUnknownCorrelationIdReplies) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(ProtocolFuzzTransportTest, ClientIgnoresDuplicateReplies) {
+TEST(ProtocolFuzzTransportTest, ClientIgnoresDuplicateReplies) {
   ScriptedServer server([](uint64_t id) {
     return MakeReplyFrame(id, Status::OK(), "first") +
            MakeReplyFrame(id, Status::OK(), "dup");
@@ -549,7 +517,7 @@ TEST_P(ProtocolFuzzTransportTest, ClientIgnoresDuplicateReplies) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnCorruptCorrelationVarint) {
+TEST(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnCorruptCorrelationVarint) {
   ScriptedServer server([](uint64_t /*id*/) {
     std::string payload(1, static_cast<char>(kMsgReply));
     payload.append(10, static_cast<char>(0x80));  // Varint never ends.
@@ -569,7 +537,7 @@ TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnCorruptCorrelationVar
   EXPECT_GE(channel.connects(), 2u);
 }
 
-TEST_P(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnWrongReplyKind) {
+TEST(ProtocolFuzzTransportTest, ClientPoisonsConnectionOnWrongReplyKind) {
   ScriptedServer server([](uint64_t id) {
     // A call frame where a reply should be: framing violation.
     return MakeCallFrame(id, "confused peer");

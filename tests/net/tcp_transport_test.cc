@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/io_backend.h"
 #include "net/queue_wire.h"
 #include "net/wire.h"
 #include "queue/queue_repository.h"
@@ -25,43 +24,16 @@
 namespace rrq::net {
 namespace {
 
-// The whole transport contract runs against both event-loop backends:
-// every case is parameterized over epoll and io_uring, and the uring
-// row skips (with the probe's reason) on kernels that cannot run it.
-class TcpTransportTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    std::string why;
-    if (GetParam() == IoBackendKind::kUring && !UringAvailable(&why)) {
-      GTEST_SKIP() << "io_uring unavailable on this host: " << why;
-    }
-  }
+TcpChannelOptions ChannelTo(uint16_t port) {
+  TcpChannelOptions options;
+  options.port = port;
+  options.max_connect_attempts = 3;
+  options.backoff_initial_micros = 1'000;
+  return options;
+}
 
-  TcpServerOptions ServerOpts() const {
-    TcpServerOptions options;
-    options.backend = GetParam();
-    return options;
-  }
-
-  TcpChannelOptions ChannelTo(uint16_t port) const {
-    TcpChannelOptions options;
-    options.port = port;
-    options.backend = GetParam();
-    options.max_connect_attempts = 3;
-    options.backoff_initial_micros = 1'000;
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, TcpTransportTest,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendName(info.param));
-    });
-
-TEST_P(TcpTransportTest, CallRoundTrip) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+TEST(TcpTransportTest, CallRoundTrip) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign("echo:" + request.ToString());
     return Status::OK();
   });
@@ -78,8 +50,49 @@ TEST_P(TcpTransportTest, CallRoundTrip) {
   EXPECT_EQ(server.requests_served(), 2u);
 }
 
-TEST_P(TcpTransportTest, HandlerErrorStatusPropagates) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* /*reply*/) {
+// perfbench reads io_stats().io_syscalls() on both ends of the wire.
+TEST(TcpTransportTest, ServerIoStatsCountLoopSyscalls) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
+    reply->assign(request.ToString());
+    return Status::OK();
+  });
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel(ChannelTo(server.port()));
+  std::string reply;
+  ASSERT_TRUE(channel.Call("x", &reply).ok());
+
+  const IoLoopStats stats = server.io_stats();
+  EXPECT_GT(stats.waits, 0u);
+  EXPECT_GT(stats.recvs, 0u);
+  EXPECT_GT(stats.sends, 0u);
+  EXPECT_EQ(stats.io_syscalls(), stats.waits + stats.recvs + stats.sends);
+}
+
+TEST(TcpTransportTest, ChannelIoStatsCountReaderSyscalls) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
+    reply->assign(request.ToString());
+    return Status::OK();
+  });
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel(ChannelTo(server.port()));
+  std::string reply;
+  ASSERT_TRUE(channel.Call("x", &reply).ok());
+
+  // The reply is dispatched before the reader goes back to poll(), so
+  // the first wait may still be on its way.
+  IoLoopStats stats = channel.io_stats();
+  for (int i = 0; i < 500 && stats.waits == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stats = channel.io_stats();
+  }
+  EXPECT_GT(stats.waits, 0u);
+  EXPECT_GT(stats.recvs, 0u);
+  EXPECT_GT(stats.sends, 0u);
+  EXPECT_EQ(stats.io_syscalls(), stats.waits + stats.recvs + stats.sends);
+}
+
+TEST(TcpTransportTest, HandlerErrorStatusPropagates) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* /*reply*/) {
     return Status::NotFound("no queue " + request.ToString());
   });
   ASSERT_TRUE(server.Start().ok());
@@ -94,8 +107,8 @@ TEST_P(TcpTransportTest, HandlerErrorStatusPropagates) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(TcpTransportTest, LargePayloadRoundTrip) {
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+TEST(TcpTransportTest, LargePayloadRoundTrip) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign(request.ToString());
     return Status::OK();
   });
@@ -109,7 +122,7 @@ TEST_P(TcpTransportTest, LargePayloadRoundTrip) {
   EXPECT_EQ(reply, big);
 }
 
-TEST_P(TcpTransportTest, NoServerIsUnavailable) {
+TEST(TcpTransportTest, NoServerIsUnavailable) {
   TcpServer probe({}, [](const Slice&, std::string*) { return Status::OK(); });
   ASSERT_TRUE(probe.Start().ok());
   const uint16_t dead_port = probe.port();
@@ -121,12 +134,12 @@ TEST_P(TcpTransportTest, NoServerIsUnavailable) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
 }
 
-TEST_P(TcpTransportTest, ReconnectsAfterServerRestartOnSamePort) {
+TEST(TcpTransportTest, ReconnectsAfterServerRestartOnSamePort) {
   auto echo = [](const Slice& request, std::string* reply) {
     reply->assign(request.ToString());
     return Status::OK();
   };
-  auto server = std::make_unique<TcpServer>(ServerOpts(), echo);
+  auto server = std::make_unique<TcpServer>(TcpServerOptions{}, echo);
   ASSERT_TRUE(server->Start().ok());
   const uint16_t port = server->port();
 
@@ -144,7 +157,7 @@ TEST_P(TcpTransportTest, ReconnectsAfterServerRestartOnSamePort) {
 
   // Server comes back on the same port; the channel recovers by
   // reconnecting on the next Call — never by resending "two".
-  TcpServerOptions restart_options = ServerOpts();
+  TcpServerOptions restart_options;
   restart_options.port = port;
   server = std::make_unique<TcpServer>(restart_options, echo);
   ASSERT_TRUE(server->Start().ok());
@@ -160,9 +173,9 @@ TEST_P(TcpTransportTest, ReconnectsAfterServerRestartOnSamePort) {
   EXPECT_GE(channel.connects(), 2u);
 }
 
-TEST_P(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
+TEST(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
   std::atomic<int> one_ways{0};
-  TcpServer server(ServerOpts(), [&one_ways](const Slice& request, std::string* reply) {
+  TcpServer server(TcpServerOptions{}, [&one_ways](const Slice& request, std::string* reply) {
     if (request == Slice("oneway")) {
       one_ways.fetch_add(1);
     } else {
@@ -187,10 +200,10 @@ TEST_P(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
   EXPECT_EQ(channel.one_ways_lost(), 0u);
 }
 
-TEST_P(TcpTransportTest, OneWayHandlerServesOnlyOneWayFrames) {
+TEST(TcpTransportTest, OneWayHandlerServesOnlyOneWayFrames) {
   std::atomic<int> rpc_calls{0};
   std::atomic<int> one_ways{0};
-  TcpServer server(ServerOpts(),
+  TcpServer server(TcpServerOptions{},
                    [&rpc_calls](const Slice&, std::string* reply) {
                      rpc_calls.fetch_add(1);
                      reply->assign("acked");
@@ -213,7 +226,7 @@ TEST_P(TcpTransportTest, OneWayHandlerServesOnlyOneWayFrames) {
   EXPECT_EQ(rpc_calls.load(), 1);
 }
 
-TEST_P(TcpTransportTest, OneWayToDeadServerIsSilentlyLost) {
+TEST(TcpTransportTest, OneWayToDeadServerIsSilentlyLost) {
   TcpServer probe({}, [](const Slice&, std::string*) { return Status::OK(); });
   ASSERT_TRUE(probe.Start().ok());
   const uint16_t dead_port = probe.port();
@@ -225,8 +238,8 @@ TEST_P(TcpTransportTest, OneWayToDeadServerIsSilentlyLost) {
   EXPECT_EQ(channel.one_ways_lost(), 1u);
 }
 
-TEST_P(TcpTransportTest, CallDeadlineExpiresAsUnavailable) {
-  TcpServer server(ServerOpts(), [](const Slice&, std::string* reply) {
+TEST(TcpTransportTest, CallDeadlineExpiresAsUnavailable) {
+  TcpServer server(TcpServerOptions{}, [](const Slice&, std::string* reply) {
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
     reply->assign("late");
     return Status::OK();
@@ -241,8 +254,8 @@ TEST_P(TcpTransportTest, CallDeadlineExpiresAsUnavailable) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
 }
 
-TEST_P(TcpTransportTest, GarbageBytesDropTheConnection) {
-  TcpServer server(ServerOpts(), [](const Slice&, std::string* reply) {
+TEST(TcpTransportTest, GarbageBytesDropTheConnection) {
+  TcpServer server(TcpServerOptions{}, [](const Slice&, std::string* reply) {
     reply->assign("ok");
     return Status::OK();
   });
@@ -277,7 +290,7 @@ TEST_P(TcpTransportTest, GarbageBytesDropTheConnection) {
   EXPECT_EQ(reply, "ok");
 }
 
-TEST_P(TcpTransportTest, InvalidAddressFailsFastWithoutRetry) {
+TEST(TcpTransportTest, InvalidAddressFailsFastWithoutRetry) {
   TcpChannelOptions options;
   options.host = "not-a-host-name";
   options.port = 1;
@@ -287,14 +300,14 @@ TEST_P(TcpTransportTest, InvalidAddressFailsFastWithoutRetry) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
-TEST_P(TcpTransportTest, PeerResetDuringBackpressuredFlushIsSurvived) {
+TEST(TcpTransportTest, PeerResetDuringBackpressuredFlushIsSurvived) {
   // A client that never reads, asking for replies far larger than its
-  // receive window, leaves each flush parked on the loop (EPOLLOUT on
-  // epoll, a send SQE on uring). Resetting it mid-flush makes the
+  // receive window, leaves each flush parked on the loop (EPOLLOUT).
+  // Resetting it mid-flush makes the
   // parked write fail with ECONNRESET or EPIPE; without MSG_NOSIGNAL
   // on that write, EPIPE raises SIGPIPE and kills this process.
   const std::string big(1 << 20, 'x');
-  TcpServerOptions options = ServerOpts();
+  TcpServerOptions options;
   options.workers = 2;
   TcpServer server(options, [&big](const Slice&, std::string* reply) {
     reply->assign(big);
@@ -350,12 +363,12 @@ TEST_P(TcpTransportTest, PeerResetDuringBackpressuredFlushIsSurvived) {
 
 // ---- Multiplexing, deadlines, reconnects -----------------------------
 
-TEST_P(TcpTransportTest, ConcurrentCallsOnSharedChannelDemuxCorrectly) {
+TEST(TcpTransportTest, ConcurrentCallsOnSharedChannelDemuxCorrectly) {
   // Many threads share ONE channel; the server's worker pool completes
   // requests out of submission order (the handler sleeps longer for
   // lower-numbered requests), so the reply demux must route every
   // reply to the call that made the matching request.
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     const std::string body = request.ToString();
     const int shuffle = 1 + static_cast<int>(body.size() % 5);
     std::this_thread::sleep_for(std::chrono::milliseconds(shuffle));
@@ -396,11 +409,11 @@ TEST_P(TcpTransportTest, ConcurrentCallsOnSharedChannelDemuxCorrectly) {
             static_cast<uint64_t>(kThreads * kCallsPerThread));
 }
 
-TEST_P(TcpTransportTest, DeadlineExpiryDoesNotPoisonTheConnection) {
+TEST(TcpTransportTest, DeadlineExpiryDoesNotPoisonTheConnection) {
   // Explicit worker count: with the default (hardware concurrency, 1
   // on small CI machines) the slow request would occupy the only
   // worker and starve the fast one into its own deadline.
-  TcpServerOptions server_options = ServerOpts();
+  TcpServerOptions server_options;
   server_options.workers = 4;
   TcpServer server(server_options, [](const Slice& request,
                                       std::string* reply) {
@@ -438,7 +451,7 @@ TEST_P(TcpTransportTest, DeadlineExpiryDoesNotPoisonTheConnection) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(TcpTransportTest, PeerClosingFirstConnectionDoesNotSerializeTheChannel) {
+TEST(TcpTransportTest, PeerClosingFirstConnectionDoesNotSerializeTheChannel) {
   // Regression: the channel used to read any close right after its
   // first frame as "this server is too old to multiplex" and pinned
   // itself to one call in flight until SetTarget. A stopping or
@@ -478,7 +491,7 @@ TEST_P(TcpTransportTest, PeerClosingFirstConnectionDoesNotSerializeTheChannel) {
   std::mutex mu;
   std::condition_variable cv;
   int arrived = 0;
-  TcpServerOptions server_options = ServerOpts();
+  TcpServerOptions server_options;
   server_options.port = port;
   server_options.workers = 4;
   // A 2-party barrier for the "pair" calls: each reports whether its
@@ -523,8 +536,8 @@ TEST_P(TcpTransportTest, PeerClosingFirstConnectionDoesNotSerializeTheChannel) {
 
 // ---- Per-call deadlines: options, long-polls, stragglers -------------
 
-TEST_P(TcpTransportTest, CallOptionsRaiseButNeverLowerTheDeadline) {
-  TcpServer server(ServerOpts(), [](const Slice&, std::string* reply) {
+TEST(TcpTransportTest, CallOptionsRaiseButNeverLowerTheDeadline) {
+  TcpServer server(TcpServerOptions{}, [](const Slice&, std::string* reply) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     reply->assign("late");
     return Status::OK();
@@ -555,7 +568,7 @@ TEST_P(TcpTransportTest, CallOptionsRaiseButNeverLowerTheDeadline) {
   EXPECT_EQ(channel2.deadline_expiries(), 0u);
 }
 
-TEST_P(TcpTransportTest, ReplyGateHoldsCallRepliesButNotOneWays) {
+TEST(TcpTransportTest, ReplyGateHoldsCallRepliesButNotOneWays) {
   queue::QueueRepository repo("qm");
   ASSERT_TRUE(repo.Open().ok());
   ASSERT_TRUE(repo.CreateQueue("q").ok());
@@ -567,7 +580,7 @@ TEST_P(TcpTransportTest, ReplyGateHoldsCallRepliesButNotOneWays) {
     return refuse.load() ? Status::Unavailable("backup ack timed out")
                          : Status::OK();
   });
-  TcpServerOptions server_options = ServerOpts();
+  TcpServerOptions server_options;
   server_options.workers = 1;  // Runs one connection's frames in order.
   TcpServer server(server_options,
                    [&dispatcher](const Slice& request, std::string* reply) {
@@ -599,7 +612,7 @@ TEST_P(TcpTransportTest, ReplyGateHoldsCallRepliesButNotOneWays) {
   EXPECT_EQ(gated.load(), 2);
 }
 
-TEST_P(TcpTransportTest, BlockingDequeueOutlivesChannelDefaultDeadline) {
+TEST(TcpTransportTest, BlockingDequeueOutlivesChannelDefaultDeadline) {
   // THE long-poll bug this PR fixes: a blocking Dequeue whose
   // timeout_micros exceeds the channel's default call deadline used to
   // be expired client-side while the server's *destructive* dequeue
@@ -611,7 +624,7 @@ TEST_P(TcpTransportTest, BlockingDequeueOutlivesChannelDefaultDeadline) {
   ASSERT_TRUE(repo.Open().ok());
   ASSERT_TRUE(repo.CreateQueue("q").ok());
   QueueServiceDispatcher dispatcher(&repo);
-  TcpServerOptions server_options = ServerOpts();
+  TcpServerOptions server_options;
   server_options.workers = 2;
   TcpServer server(server_options,
                    [&dispatcher](const Slice& request, std::string* reply) {
@@ -649,13 +662,13 @@ TEST_P(TcpTransportTest, BlockingDequeueOutlivesChannelDefaultDeadline) {
   EXPECT_EQ(*repo.Depth("q"), 0u);
 }
 
-TEST_P(TcpTransportTest, LateReplyAccountingMatchesStragglersExactly) {
+TEST(TcpTransportTest, LateReplyAccountingMatchesStragglersExactly) {
   // Several calls expire; each eventually produces exactly one
   // straggler reply that is discarded by correlation id. Fast calls
   // interleaved with the stragglers demux cleanly and the per-channel
   // counters match: deadline_expiries == late_replies == the number of
   // slow calls, and nothing else is miscounted or misdelivered.
-  TcpServerOptions server_options = ServerOpts();
+  TcpServerOptions server_options;
   server_options.workers = 8;
   TcpServer server(server_options,
                    [](const Slice& request, std::string* reply) {
@@ -671,8 +684,7 @@ TEST_P(TcpTransportTest, LateReplyAccountingMatchesStragglersExactly) {
   TcpChannelOptions options = ChannelTo(server.port());
   // Far above a sanitized-build round trip — full-suite ASan/TSan
   // runs on the 1-core CI box showed a legitimate fast call can take
-  // hundreds of ms under scheduler starvation (and the suite now runs
-  // every test twice, once per backend) — and still half the slow
+  // hundreds of ms under scheduler starvation — and still half the slow
   // handler's 2s, so only the slow calls expire.
   options.call_timeout_micros = 1'000'000;
   TcpChannel channel(options);
@@ -718,7 +730,7 @@ TEST_P(TcpTransportTest, LateReplyAccountingMatchesStragglersExactly) {
   EXPECT_EQ(channel.connects(), 1u);
 }
 
-TEST_P(TcpTransportTest, ConcurrentRetriesAfterConnectionLossAllRecover) {
+TEST(TcpTransportTest, ConcurrentRetriesAfterConnectionLossAllRecover) {
   // Regression test for a reconnect-race deadlock. When a
   // connection dies, the reader fails every pending call BEFORE it
   // announces its exit via reader_done_, so the failed callers retry
@@ -732,7 +744,7 @@ TEST_P(TcpTransportTest, ConcurrentRetriesAfterConnectionLossAllRecover) {
   // the race and hangs (ctest timeout) without it.
   // The server stays up the whole time — the winner's reconnect must
   // SUCCEED (and reset reader_done_) for the loser to strand.
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign(request.ToString());
     return Status::OK();
   });
@@ -805,12 +817,12 @@ TEST_P(TcpTransportTest, ConcurrentRetriesAfterConnectionLossAllRecover) {
   EXPECT_GT(successes.load(), 0u);
 }
 
-TEST_P(TcpTransportTest, SequentialConnectionChurnDoesNotLeak) {
+TEST(TcpTransportTest, SequentialConnectionChurnDoesNotLeak) {
   // Regression test for the PR 3 connection-thread leak: the old
   // server spawned a detached-until-Stop thread per connection and
   // never reaped finished ones. A few hundred sequential connections
   // must leave the server with zero live connection state.
-  TcpServer server(ServerOpts(), [](const Slice& request, std::string* reply) {
+  TcpServer server(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
     reply->assign(request.ToString());
     return Status::OK();
   });
