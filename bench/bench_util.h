@@ -75,23 +75,12 @@ inline std::string Fmt(double value, int precision = 1) {
   return buf;
 }
 
-/// Writes `json` to BENCH_<name>.json at the repository root (the
-/// RRQ_REPO_ROOT compile definition set by rrq_add_bench), so every
-/// experiment's machine-readable results land in one predictable
-/// place regardless of the CWD the bench ran from. Falls back to the
-/// CWD when the root is unavailable.
+/// Writes `json` to BENCH_<name>.json in the current working
+/// directory. The committed BENCH_*.json records at the repository
+/// root are never written by a run: updating one is a deliberate copy.
 inline void WriteBenchJson(const std::string& name, const std::string& json) {
-  const std::string file = "BENCH_" + name + ".json";
-#ifdef RRQ_REPO_ROOT
-  std::string path = std::string(RRQ_REPO_ROOT) + "/" + file;
-#else
-  std::string path = file;
-#endif
+  const std::string path = "BENCH_" + name + ".json";
   FILE* out = fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    path = file;
-    out = fopen(path.c_str(), "w");
-  }
   if (out != nullptr) {
     fputs(json.c_str(), out);
     fclose(out);

@@ -13,8 +13,10 @@
 #     <condition_variable> directly; the wrapper owns those includes.
 #  3. Bench binaries must publish machine-readable results through
 #     bench::WriteBenchJson (bench/bench_util.h), never by opening
-#     .json files themselves — the helper pins the output location to
-#     the repo root so tooling can find BENCH_*.json regardless of CWD.
+#     .json files themselves — the helper is the one place that decides
+#     where BENCH_*.json lands: the bench's working directory. Nothing
+#     may name RRQ_REPO_ROOT, the old compile definition that sent
+#     every run's output over the committed BENCH_*.json records.
 #  4. One event loop (DESIGN.md §13): raw epoll_* calls anywhere in
 #     src/ are confined to src/net/tcp_server.cc, the translation unit
 #     that holds the loop, and src/ uses no kernel submission ring at
@@ -47,8 +49,8 @@ if [[ -n "$hits" ]]; then
 fi
 
 # --- 3. Bench JSON goes through bench::WriteBenchJson --------------
-# A bench that opens a .json file itself bypasses the repo-root
-# pinning in WriteBenchJson.
+# A bench that opens a .json file itself bypasses the one output rule
+# in WriteBenchJson.
 hits=$(grep -rnE '(fopen|ofstream)[^;]*\.json' bench/ --include='*.cc' || true)
 if [[ -n "$hits" ]]; then
   violation "bench writes a .json file directly (use bench::WriteBenchJson from bench/bench_util.h)" "$hits"
@@ -59,6 +61,14 @@ for f in bench/bench_*.cc; do
     violation "bench builds a JSON payload but never calls bench::WriteBenchJson" "$f"
   fi
 done
+# Nothing under bench/ or src/, and no CMakeLists.txt, may point bench
+# output back at the repository.
+hits=$( { grep -rn --exclude=CMakeLists.txt 'RRQ_REPO_ROOT' bench/ src/;
+  find . -name CMakeLists.txt -not -path './build*' -not -path './.bench_build/*' \
+    -exec grep -Hn 'RRQ_REPO_ROOT' {} +; } || true)
+if [[ -n "$hits" ]]; then
+  violation "RRQ_REPO_ROOT named (bench JSON goes to the working directory, not the repo root)" "$hits"
+fi
 
 # --- 4. One event loop ----------------------------------------------
 hits=$(grep -rnE '\bepoll_(create1?|ctl|wait|pwait2?)\s*\(' \

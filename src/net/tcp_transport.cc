@@ -95,6 +95,7 @@ TcpChannel::~TcpChannel() { Close(); }
 
 void TcpChannel::Close() {
   MutexLock lock(mu_);
+  backoff_cv_.SignalAll();  // A reconnect in backoff retries at once.
   // Loop: a caller racing us through EnsureConnectedLocked() can join
   // the reader we are waiting out and stand up a fresh connection while
   // Wait() has mu_ released. Re-checking sock_ every wakeup means any
@@ -122,7 +123,7 @@ void TcpChannel::SetTarget(const std::string& host, uint16_t port) {
     options_.host = host;
     options_.port = port;
   }
-  Close();
+  Close();  // Also wakes a reconnect in backoff onto the new target.
 }
 
 Status TcpChannel::ConnectOnce(int* fd_out) {
@@ -162,32 +163,36 @@ Status TcpChannel::ConnectOnce(int* fd_out) {
 }
 
 Status TcpChannel::EnsureConnectedLocked() {
-  // Re-check sock_ on every wakeup: when a dead connection strands
-  // several callers here, the first one to see reader_done_ joins the
-  // old reader, reconnects, and resets reader_done_ for the NEW reader.
-  // A waiter that only re-tested reader_done_ would then sleep until
-  // the healthy new connection failed — i.e. forever (deadlock observed
-  // in clerk_pool_exactly_once_test under sanitizer load). Seeing sock_
-  // set means that caller finished the job for us.
-  for (;;) {
-    if (sock_) return Status::OK();
-    if (!reader_.joinable() || reader_done_) break;
-    // A previous connection's reader may still be failing its pending
-    // calls; wait for it to finish with channel state before rebuilding.
-    reader_exit_cv_.Wait(mu_);
-  }
-  if (reader_.joinable()) reader_.join();
-
   // Reconnect-with-backoff, bounded. This is the only retry loop in
   // the transport, and it runs strictly before any request bytes are
-  // sent — so it can never duplicate a request.
+  // sent — so it can never duplicate a request. The backoff waits
+  // release mu_, so SetTarget, Close and other callers never queue
+  // behind a dead target; SetTarget and Close also cut the wait short.
   uint64_t backoff = options_.backoff_initial_micros;
   Status last = Status::Unavailable("no connect attempts made");
   for (int attempt = 0; attempt < options_.max_connect_attempts; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
+      backoff_cv_.WaitFor(mu_, std::chrono::microseconds(backoff));
       backoff = std::min(backoff * 2, options_.backoff_max_micros);
     }
+    // Re-check sock_ on every wakeup: when a dead connection strands
+    // several callers here, the first one to see reader_done_ joins the
+    // old reader, reconnects, and resets reader_done_ for the NEW
+    // reader. A waiter that only re-tested reader_done_ would then
+    // sleep until the healthy new connection failed — i.e. forever
+    // (deadlock observed in clerk_pool_exactly_once_test under
+    // sanitizer load). Seeing sock_ set means that caller finished the
+    // job for us.
+    for (;;) {
+      if (sock_) return Status::OK();
+      if (!reader_.joinable() || reader_done_) break;
+      // A previous connection's reader may still be failing its pending
+      // calls; wait for it to finish with channel state before
+      // rebuilding.
+      reader_exit_cv_.Wait(mu_);
+    }
+    if (reader_.joinable()) reader_.join();
+
     int fd = -1;
     last = ConnectOnce(&fd);
     if (last.IsInvalidArgument()) return last;  // Bad address: hopeless.

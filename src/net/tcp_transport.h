@@ -349,8 +349,8 @@ class TcpChannel final : public Channel {
     uint64_t deadline_micros = 0;
   };
 
-  // Connects and starts the demux reader. May sleep in backoff
-  // (holding mu_).
+  // Connects and starts the demux reader. Waits out its backoff on
+  // backoff_cv_, which releases mu_.
   Status EnsureConnectedLocked() REQUIRES(mu_);
   Status ConnectOnce(int* fd_out);
   void ReaderMain(std::shared_ptr<Sock> sock);
@@ -383,6 +383,7 @@ class TcpChannel final : public Channel {
 
   Mutex mu_;
   CondVar reader_exit_cv_;
+  CondVar backoff_cv_;  // Signalled by SetTarget and Close.
   std::shared_ptr<Sock> sock_ GUARDED_BY(mu_);  // null while disconnected
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   std::unordered_map<uint64_t, PendingCall> pending_ GUARDED_BY(mu_);

@@ -57,10 +57,8 @@ Status DecodeDequeuePolicy(uint8_t raw, DequeuePolicy* out) {
   return Status::OK();
 }
 
-// Element wire encoding (the inverse of DecodeElement). The contents
-// come from the shared payload when one is attached (live ops share
-// the stored payload instead of copying it into the op); ops decoded
-// from the WAL carry them inline in meta.contents.
+// Element wire encoding (the inverse of DecodeElement): the metadata,
+// then the contents from the shared payload.
 void EncodeElementParts(const Element& meta,
                         const std::shared_ptr<const std::string>& payload,
                         std::string* out) {
@@ -68,15 +66,18 @@ void EncodeElementParts(const Element& meta,
   util::PutVarint32(out, meta.priority);
   util::PutVarint32(out, meta.abort_count);
   util::PutLengthPrefixed(out, meta.abort_code);
-  util::PutLengthPrefixed(out, payload != nullptr ? *payload : meta.contents);
+  util::PutLengthPrefixed(out, *payload);
 }
 
-Status DecodeElement(Slice* input, Element* e) {
-  RRQ_RETURN_IF_ERROR(util::GetFixed64(input, &e->eid));
-  RRQ_RETURN_IF_ERROR(util::GetVarint32(input, &e->priority));
-  RRQ_RETURN_IF_ERROR(util::GetVarint32(input, &e->abort_count));
-  RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &e->abort_code));
-  RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &e->contents));
+Status DecodeElement(Slice* input, Element* meta,
+                     std::shared_ptr<const std::string>* payload) {
+  RRQ_RETURN_IF_ERROR(util::GetFixed64(input, &meta->eid));
+  RRQ_RETURN_IF_ERROR(util::GetVarint32(input, &meta->priority));
+  RRQ_RETURN_IF_ERROR(util::GetVarint32(input, &meta->abort_count));
+  RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &meta->abort_code));
+  std::string contents;
+  RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &contents));
+  *payload = std::make_shared<const std::string>(std::move(contents));
   return Status::OK();
 }
 
@@ -223,6 +224,27 @@ struct QueueRepository::Shard final : public txn::ResourceManager {
     return txns.count(id) > 0;
   }
 
+  // §7: a transaction must not commit a dequeue whose element was
+  // killed (or whose queue was destroyed) under it. Kill reservations
+  // made by the transaction itself don't veto.
+  Status VetoKilled(const PendingTxn& pt) const REQUIRES(mu) {
+    for (const LockedRef& ref : pt.locked) {
+      if (ref.is_kill) continue;
+      const QueueState* qs = Find(ref.queue);
+      if (qs == nullptr) return Status::Cancelled("queue destroyed: " + ref.queue);
+      auto eit = qs->elements.find(ref.eid);
+      if (eit == qs->elements.end() || eit->second.killed) {
+        return Status::Cancelled("element killed: " + std::to_string(ref.eid));
+      }
+    }
+    return Status::OK();
+  }
+
+  // Stages the commit of transaction `id` (already taken out of
+  // `txns`) through StageCommitLocked; `record` as there.
+  Status StageTxnCommit(txn::TxnId id, PendingTxn pt, std::string record,
+                        CommitHandoff* h) REQUIRES(mu);
+
   // ---- txn::ResourceManager (bodies below, after the repo helpers) ----
   std::string_view rm_name() const override { return rm_label; }
   Status Prepare(txn::TxnId id) override;
@@ -360,7 +382,7 @@ Status QueueRepository::DecodeMicroOp(Slice* input, MicroOp* op) {
     case MicroOp::kDeregister:
       return util::GetLengthPrefixedString(input, &op->registrant);
     case MicroOp::kInsert:
-      return DecodeElement(input, &op->element);
+      return DecodeElement(input, &op->element, &op->payload);
     case MicroOp::kRemove:
     case MicroOp::kBumpAbortCount:
     case MicroOp::kSetReplWatermark:
@@ -372,7 +394,7 @@ Status QueueRepository::DecodeMicroOp(Slice* input, MicroOp* op) {
           DecodeOpType(static_cast<uint8_t>((*input)[0]), &op->op_type));
       input->remove_prefix(1);
       RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &op->tag));
-      return DecodeElement(input, &op->element);
+      return DecodeElement(input, &op->element, &op->payload);
     }
     case MicroOp::kSetTrigger:
     case MicroOp::kClearTrigger:
@@ -389,6 +411,26 @@ void QueueRepository::EncodeRecord(unsigned char type, txn::TxnId id,
   util::PutFixed64(out, next_eid_.load(std::memory_order_relaxed));
   util::PutVarint64(out, ops.size());
   for (const MicroOp& op : ops) EncodeMicroOp(op, out);
+}
+
+Status QueueRepository::DecodeRecord(Slice input, Record* out) {
+  if (input.empty()) return Status::Corruption("empty record");
+  out->type = static_cast<unsigned char>(input[0]);
+  input.remove_prefix(1);
+  RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &out->id));
+  RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &out->eid_watermark));
+  uint64_t op_count = 0;
+  RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &op_count));
+  out->ops.clear();
+  // Every op takes at least one byte, so a corrupt count cannot make
+  // the reservation outgrow the input.
+  out->ops.reserve(static_cast<size_t>(std::min<uint64_t>(op_count, input.size())));
+  for (uint64_t i = 0; i < op_count; ++i) {
+    MicroOp op;
+    RRQ_RETURN_IF_ERROR(DecodeMicroOp(&input, &op));
+    out->ops.push_back(std::move(op));
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -464,11 +506,7 @@ void QueueRepository::ApplyMicroOp(Shard* s, const MicroOp& op,
       if (qs == nullptr) break;
       InternalElement ie;
       ie.meta = op.element;
-      ie.meta.contents.clear();
-      ie.payload = op.payload != nullptr
-                       ? op.payload
-                       : std::make_shared<const std::string>(
-                             op.element.contents);
+      ie.payload = op.payload;
       ie.seq = s->next_seq++;
       const ElementId eid = ie.meta.eid;
       const uint32_t inv_priority = ~ie.meta.priority;
@@ -509,11 +547,7 @@ void QueueRepository::ApplyMicroOp(Shard* s, const MicroOp& op,
         it->second.last.eid = op.element.eid;
         it->second.last.tag = op.tag;
         it->second.last.meta = op.element;
-        it->second.last.meta.contents.clear();
-        it->second.last.payload =
-            op.payload != nullptr ? op.payload
-                                  : std::make_shared<const std::string>(
-                                        op.element.contents);
+        it->second.last.payload = op.payload;
       }
       break;
     }
@@ -668,9 +702,9 @@ Status QueueRepository::StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
                                           std::string record,
                                           CommitHandoff* out)
     REQUIRES(s->mu) {
-  out->replicate = options_.replication_sink != nullptr && !ops.empty();
+  const bool replicate = options_.replication_sink != nullptr && !ops.empty();
   out->log = s->NeedsLogging(ops);
-  if (record.empty() && (out->log || out->replicate)) {
+  if (record.empty() && (out->log || replicate)) {
     EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
   }
   if (out->log) {
@@ -678,7 +712,14 @@ Status QueueRepository::StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
     RRQ_RETURN_IF_ERROR(out->wal->AddRecord(record, &out->end_offset));
   }
   for (const MicroOp& op : ops) ApplyMicroOp(s, op, &out->notify);
-  if (out->replicate) out->tickets.push_back(AcquireReplTicket(s));
+  if (replicate) {
+    // A 2PC commit marker logs no ops; the sink needs them.
+    if (static_cast<unsigned char>(record[0]) == kRecCommit) {
+      record.clear();
+      EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
+    }
+    out->tickets.push_back(AcquireReplTicket(s));
+  }
   out->record = std::move(record);
   return Status::OK();
 }
@@ -702,8 +743,8 @@ Status QueueRepository::FinishCommit(CommitHandoff h,
   // (The commit itself already stands locally either way — the sink's
   // verdict is surfaced to the committer.) rrqd's sink only appends
   // and gates each client reply on the backup's ack instead.
-  Status rs =
-      DeliverReplica(h.tickets, h.replicate ? h.record : std::string());
+  // Without tickets (no sink, or no ops) nothing is sent.
+  Status rs = DeliverReplica(h.tickets, h.record);
   NotifyWaiters(h.notify);
   // Reactions fire after the replication delivery so a trigger's own
   // record cannot overtake (or deadlock behind) the record that fired
@@ -715,15 +756,6 @@ Status QueueRepository::FinishCommit(CommitHandoff h,
 Status QueueRepository::CommitOnShard(Shard* s, std::vector<MicroOp> ops,
                                       std::string record,
                                       bool evaluate_reactions) {
-  // Encode the record outside the shard lock — only the WAL append and
-  // the in-memory apply need it. The eid watermark in the record is
-  // safe to read here because every eid in `ops` was allocated before
-  // this call. The replication sink reuses the same bytes.
-  const bool replicate =
-      options_.replication_sink != nullptr && !ops.empty();
-  if (record.empty() && (options_.env != nullptr || replicate)) {
-    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
-  }
   CommitHandoff h;
   {
     MutexLock lock(s->mu);
@@ -741,30 +773,12 @@ Status QueueRepository::CommitSpanning(std::vector<MicroOp> ops,
                                        std::string record,
                                        bool evaluate_reactions)
     NO_THREAD_SAFETY_ANALYSIS {
-  const bool replicate =
-      options_.replication_sink != nullptr && !ops.empty();
-  if (record.empty() && (options_.env != nullptr || replicate)) {
-    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
-  }
+  const bool replicate = options_.replication_sink != nullptr;
   // Partition by shard, preserving per-shard op order.
   std::map<size_t, std::vector<MicroOp>> by_shard;
   for (MicroOp& op : ops) {
     by_shard[ShardIndexOf(op.queue)].push_back(std::move(op));
   }
-  if (by_shard.size() <= 1) {
-    Shard* s =
-        by_shard.empty() ? shards_[0].get() : shards_[by_shard.begin()->first].get();
-    std::vector<MicroOp> sops;
-    if (!by_shard.empty()) sops = std::move(by_shard.begin()->second);
-    CommitHandoff h;
-    {
-      MutexLock lock(s->mu);
-      RRQ_RETURN_IF_ERROR(
-          StageCommitLocked(s, std::move(sops), std::move(record), &h));
-    }
-    return FinishCommit(std::move(h), evaluate_reactions);
-  }
-
   struct Part {
     Shard* s = nullptr;
     std::vector<MicroOp> ops;
@@ -886,26 +900,33 @@ Status QueueRepository::CommitSpanning(std::vector<MicroOp> ops,
     return first_error;
   }
   // Delivery precedes wakeup (see FinishCommit).
-  Status rs = DeliverReplica(tickets, replicate ? record : std::string());
+  Status rs = DeliverReplica(tickets, record);
   NotifyWaiters(notify);
   if (evaluate_reactions) EvaluateReactions(notify);
   return rs;
 }
 
-Status QueueRepository::AutoCommit(std::vector<MicroOp> ops) {
+Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
+                                   std::string record,
+                                   bool evaluate_reactions) {
   if (ops.empty()) return Status::OK();
+  // Encode the record outside the shard locks — only the WAL append and
+  // the in-memory apply need it. The eid watermark in the record is
+  // safe to read here because every eid in `ops` was allocated before
+  // this call. The replication sink reuses the same bytes.
+  if (record.empty() && (options_.env != nullptr ||
+                         options_.replication_sink != nullptr)) {
+    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
+  }
   const size_t first = ShardIndexOf(ops[0].queue);
-  bool multi = false;
   for (const MicroOp& op : ops) {
     if (ShardIndexOf(op.queue) != first) {
-      multi = true;
-      break;
+      return CommitSpanning(std::move(ops), std::move(record),
+                            evaluate_reactions);
     }
   }
-  if (!multi) {
-    return CommitOnShard(shards_[first].get(), std::move(ops), "", true);
-  }
-  return CommitSpanning(std::move(ops), "", true);
+  return CommitOnShard(shards_[first].get(), std::move(ops), std::move(record),
+                       evaluate_reactions);
 }
 
 void QueueRepository::BufferTxnOps(txn::Transaction* t,
@@ -948,17 +969,7 @@ Status QueueRepository::Shard::Prepare(txn::TxnId id) {
     return Status::OK();
   }
   PendingTxn& pt = it->second;
-  // Veto if any element we dequeued was killed out from under us (§7).
-  // Kill reservations made by this transaction itself don't veto.
-  for (const LockedRef& ref : pt.locked) {
-    if (ref.is_kill) continue;
-    QueueState* qs = Find(ref.queue);
-    if (qs == nullptr) return Status::Cancelled("queue destroyed: " + ref.queue);
-    auto eit = qs->elements.find(ref.eid);
-    if (eit == qs->elements.end() || eit->second.killed) {
-      return Status::Cancelled("element killed: " + std::to_string(ref.eid));
-    }
-  }
+  RRQ_RETURN_IF_ERROR(VetoKilled(pt));
   const bool log = NeedsLogging(pt.ops);
   uint64_t end_offset = 0;
   std::shared_ptr<wal::LogWriter> w;
@@ -974,30 +985,11 @@ Status QueueRepository::Shard::Prepare(txn::TxnId id) {
   return Status::OK();
 }
 
-Status QueueRepository::Shard::CommitTxn(txn::TxnId id) {
-  QueueRepository* r = repo;
-  // The commit record carries no ops; encode it before taking the lock.
-  std::string record;
-  if (r->options_.env != nullptr) {
-    r->EncodeRecord(kRecCommit, id, {}, &record);
-  }
-  MutexLock lock(mu);
-  auto it = txns.find(id);
-  if (it == txns.end()) return Status::OK();  // No ops here.
-  PendingTxn pt = std::move(it->second);
-  txns.erase(it);
-  if (!pt.prepared) {
-    return Status::Internal("commit of unprepared transaction");
-  }
-  const bool log = NeedsLogging(pt.ops);
-  uint64_t end_offset = 0;
-  std::shared_ptr<wal::LogWriter> w;
-  if (log) {
-    w = wal;
-    RRQ_RETURN_IF_ERROR(w->AddRecord(record, &end_offset));
-  }
-  std::vector<std::string> notify;
-  for (const MicroOp& op : pt.ops) r->ApplyMicroOp(this, op, &notify);
+Status QueueRepository::Shard::StageTxnCommit(txn::TxnId id, PendingTxn pt,
+                                              std::string record,
+                                              CommitHandoff* h) {
+  RRQ_RETURN_IF_ERROR(
+      repo->StageCommitLocked(this, std::move(pt.ops), std::move(record), h));
   // Locked elements consumed by kRemove ops are gone; make sure any
   // still-live ones (defensive) are unlocked.
   for (const LockedRef& ref : pt.locked) {
@@ -1008,76 +1000,43 @@ Status QueueRepository::Shard::CommitTxn(txn::TxnId id) {
       eit->second.locked_by = txn::kInvalidTxnId;
     }
   }
-  const std::string replica = r->MaybeEncodeReplication(pt.ops);
-  std::vector<ReplTicket> tickets;
-  if (!replica.empty()) tickets.push_back(r->AcquireReplTicket(this));
-  lock.Unlock();
-  if (log && r->options_.sync_commits) {
-    Status sync = w->SyncTo(end_offset);
-    if (!sync.ok()) {
-      r->DeliverReplica(tickets, "");
-      return sync;
-    }
+  return Status::OK();
+}
+
+Status QueueRepository::Shard::CommitTxn(txn::TxnId id) {
+  // The commit record carries no ops; encode it before taking the lock.
+  std::string record;
+  if (repo->options_.env != nullptr) {
+    repo->EncodeRecord(kRecCommit, id, {}, &record);
   }
-  // Delivery precedes wakeup (see FinishCommit).
-  Status rs = r->DeliverReplica(tickets, replica);
-  r->NotifyWaiters(notify);
-  r->EvaluateReactions(notify);
-  return rs;
+  CommitHandoff h;
+  {
+    MutexLock lock(mu);
+    auto it = txns.find(id);
+    if (it == txns.end()) return Status::OK();  // No ops here.
+    PendingTxn pt = std::move(it->second);
+    txns.erase(it);
+    if (!pt.prepared) {
+      return Status::Internal("commit of unprepared transaction");
+    }
+    RRQ_RETURN_IF_ERROR(StageTxnCommit(id, std::move(pt), std::move(record), &h));
+  }
+  return repo->FinishCommit(std::move(h), /*evaluate_reactions=*/true);
 }
 
 Status QueueRepository::Shard::PrepareAndCommit(txn::TxnId id) {
-  QueueRepository* r = repo;
-  MutexLock lock(mu);
-  auto it = txns.find(id);
-  if (it == txns.end()) return Status::OK();
-  PendingTxn& pt = it->second;
-  for (const LockedRef& ref : pt.locked) {
-    if (ref.is_kill) continue;
-    QueueState* qs = Find(ref.queue);
-    if (qs == nullptr) return Status::Cancelled("queue destroyed: " + ref.queue);
-    auto eit = qs->elements.find(ref.eid);
-    if (eit == qs->elements.end() || eit->second.killed) {
-      return Status::Cancelled("element killed: " + std::to_string(ref.eid));
-    }
+  CommitHandoff h;
+  {
+    MutexLock lock(mu);
+    auto it = txns.find(id);
+    if (it == txns.end()) return Status::OK();
+    RRQ_RETURN_IF_ERROR(VetoKilled(it->second));
+    PendingTxn pt = std::move(it->second);
+    txns.erase(it);
+    // One committed record serves both the WAL and the sink.
+    RRQ_RETURN_IF_ERROR(StageTxnCommit(id, std::move(pt), "", &h));
   }
-  PendingTxn done = std::move(pt);
-  txns.erase(it);
-  const bool log = NeedsLogging(done.ops);
-  uint64_t end_offset = 0;
-  std::shared_ptr<wal::LogWriter> w;
-  if (log) {
-    w = wal;
-    std::string record;
-    r->EncodeRecord(kRecCommitted, id, done.ops, &record);
-    RRQ_RETURN_IF_ERROR(w->AddRecord(record, &end_offset));
-  }
-  std::vector<std::string> notify;
-  for (const MicroOp& op : done.ops) r->ApplyMicroOp(this, op, &notify);
-  for (const LockedRef& ref : done.locked) {
-    QueueState* qs = Find(ref.queue);
-    if (qs == nullptr) continue;
-    auto eit = qs->elements.find(ref.eid);
-    if (eit != qs->elements.end() && eit->second.locked_by == id) {
-      eit->second.locked_by = txn::kInvalidTxnId;
-    }
-  }
-  const std::string replica = r->MaybeEncodeReplication(done.ops);
-  std::vector<ReplTicket> tickets;
-  if (!replica.empty()) tickets.push_back(r->AcquireReplTicket(this));
-  lock.Unlock();
-  if (log && r->options_.sync_commits) {
-    Status sync = w->SyncTo(end_offset);
-    if (!sync.ok()) {
-      r->DeliverReplica(tickets, "");
-      return sync;
-    }
-  }
-  // Delivery precedes wakeup (see FinishCommit).
-  Status rs = r->DeliverReplica(tickets, replica);
-  r->NotifyWaiters(notify);
-  r->EvaluateReactions(notify);
-  return rs;
+  return repo->FinishCommit(std::move(h), /*evaluate_reactions=*/true);
 }
 
 void QueueRepository::Shard::AbortTxn(txn::TxnId id) {
@@ -1187,7 +1146,7 @@ void QueueRepository::Shard::AbortTxn(txn::TxnId id) {
   r->NotifyWaiters(notify);
   r->EvaluateReactions(notify);
   if (!spanning_effects.empty()) {
-    Status s = r->CommitSpanning(std::move(spanning_effects), "", true);
+    Status s = r->AutoCommit(std::move(spanning_effects));
     if (!s.ok()) {
       RRQ_LOG(kError) << r->name_ << ": cross-shard error-queue move failed: "
                       << s.ToString();
@@ -1237,85 +1196,42 @@ Status QueueRepository::PrepareAndCommit(txn::TxnId id) {
 // ---------------------------------------------------------------------------
 // Replication
 
-Status QueueRepository::ApplyReplicatedRecord(const Slice& record) {
-  return ApplyReplicatedRecord(record, /*seq=*/0);
-}
-
 Status QueueRepository::ApplyReplicatedRecord(const Slice& record,
                                               uint64_t seq) {
-  Slice input = record;
-  if (input.empty()) return Status::InvalidArgument("empty record");
-  input.remove_prefix(1);  // Record type (always a committed set).
-  uint64_t id = 0;
-  uint64_t eid_watermark = 0;
-  RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &id));
-  RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &eid_watermark));
-  uint64_t op_count = 0;
-  RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &op_count));
-  std::vector<MicroOp> ops;
-  ops.reserve(static_cast<size_t>(op_count));
-  for (uint64_t i = 0; i < op_count; ++i) {
-    MicroOp op;
-    RRQ_RETURN_IF_ERROR(DecodeMicroOp(&input, &op));
-    ops.push_back(std::move(op));
-  }
+  if (record.empty()) return Status::InvalidArgument("empty record");
+  // The record type is always a committed set.
+  Record rec;
+  RRQ_RETURN_IF_ERROR(DecodeRecord(record, &rec));
   // Only fully-decoded records mutate state (AdvanceEid included):
   // a truncated or bit-flipped record must leave the backup unchanged.
-  AdvanceEid(eid_watermark);
-  if (seq != 0) {
-    // Duplicate delivery (sender retry after a lost ack, or a restart
-    // resending from an older watermark): already applied, ack again.
-    if (seq <= applied_repl_seq()) return Status::OK();
-    // The watermark advances atomically with the record's effects by
-    // riding in the record as a micro-op, which forces re-encoding
-    // (the logged bytes must contain the marker so recovery replays
-    // it). A watermark-only record (no ops) is the snapshot-end
-    // barrier.
-    MicroOp marker;
-    marker.kind = MicroOp::kSetReplWatermark;
-    marker.queue = ops.empty() ? "" : ops[0].queue;
-    marker.element.eid = seq;
-    ops.push_back(std::move(marker));
-    std::string rerecord;
-    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &rerecord);
-    const size_t first = ShardIndexOf(ops[0].queue);
-    bool multi = false;
-    for (const MicroOp& op : ops) {
-      if (ShardIndexOf(op.queue) != first) {
-        multi = true;
-        break;
-      }
-    }
-    if (!multi) {
-      return CommitOnShard(shards_[first].get(), std::move(ops),
-                           std::move(rerecord),
-                           /*evaluate_reactions=*/false);
-    }
-    return CommitSpanning(std::move(ops), std::move(rerecord),
-                          /*evaluate_reactions=*/false);
+  AdvanceEid(rec.eid_watermark);
+  std::vector<MicroOp>& ops = rec.ops;
+  if (seq == 0) {
+    // Durable backups log the record verbatim (it is already a valid
+    // committed record carrying the primary's eid watermark); a record
+    // spanning local shards goes through the cross-shard protocol so a
+    // backup crash can't apply it partially. Chained sinks receive the
+    // original bytes either way. Reactions don't fire: the primary's
+    // reactions arrive as ordinary records.
+    return AutoCommit(std::move(ops), record.ToString(),
+                      /*evaluate_reactions=*/false);
   }
-  if (ops.empty()) return Status::OK();
-  // Durable backups log the record verbatim when it lands on one local
-  // shard (it is already a valid committed record carrying the
-  // primary's eid watermark); a record spanning local shards goes
-  // through the cross-shard protocol so a backup crash can't apply it
-  // partially. Chained sinks receive the original bytes either way.
-  // Reactions don't fire: the primary's reactions arrive as ordinary
-  // records.
-  const size_t first = ShardIndexOf(ops[0].queue);
-  bool multi = false;
-  for (const MicroOp& op : ops) {
-    if (ShardIndexOf(op.queue) != first) {
-      multi = true;
-      break;
-    }
-  }
-  if (!multi) {
-    return CommitOnShard(shards_[first].get(), std::move(ops),
-                         record.ToString(), /*evaluate_reactions=*/false);
-  }
-  return CommitSpanning(std::move(ops), record.ToString(),
-                        /*evaluate_reactions=*/false);
+  // Duplicate delivery (sender retry after a lost ack, or a restart
+  // resending from an older watermark): already applied, ack again.
+  if (seq <= applied_repl_seq()) return Status::OK();
+  // The watermark advances atomically with the record's effects by
+  // riding in the record as a micro-op, which forces re-encoding (the
+  // logged bytes must contain the marker so recovery replays it). A
+  // watermark-only record (no ops) is the snapshot-end barrier.
+  MicroOp marker;
+  marker.kind = MicroOp::kSetReplWatermark;
+  marker.queue = ops.empty() ? "" : ops[0].queue;
+  marker.element.eid = seq;
+  ops.push_back(std::move(marker));
+  std::string rerecord;
+  EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &rerecord);
+  return AutoCommit(std::move(ops), std::move(rerecord),
+                    /*evaluate_reactions=*/false);
 }
 
 Status QueueRepository::CommitReplWatermark(uint64_t seq) {
@@ -1349,88 +1265,97 @@ Status QueueRepository::CaptureReplicaSnapshot(
     }
   }
   if (at_barrier) at_barrier();
-  constexpr size_t kElementsPerRecord = 256;
-  for (auto& shard : shards_) {
-    for (const auto& [name, qs] : shard->queues) {
-      // One metadata record per queue: creation, started flag,
-      // registrations and their saved last-ops.
-      std::vector<MicroOp> meta;
-      {
-        MicroOp create;
-        create.kind = MicroOp::kCreateQueue;
-        create.queue = name;
-        create.qoptions = qs->options;
-        meta.push_back(std::move(create));
-      }
-      if (!qs->started) {
-        MicroOp stop;
-        stop.kind = MicroOp::kStopQueue;
-        stop.queue = name;
-        meta.push_back(std::move(stop));
-      }
-      for (const auto& [registrant, reg] : qs->registrations) {
-        MicroOp r;
-        r.kind = MicroOp::kRegister;
-        r.queue = name;
-        r.registrant = registrant;
-        r.stable = reg.stable;
-        meta.push_back(std::move(r));
-        if (reg.stable && reg.last.type != OpType::kNone) {
-          MicroOp last;
-          last.kind = MicroOp::kSetLastOp;
-          last.queue = name;
-          last.registrant = registrant;
-          last.op_type = reg.last.type;
-          last.tag = reg.last.tag;
-          last.element = reg.last.meta;
-          last.element.eid = reg.last.eid;
-          last.payload = reg.last.payload;
-          meta.push_back(std::move(last));
-        }
-      }
-      records->emplace_back();
-      EncodeRecord(kRecCommitted, txn::kInvalidTxnId, meta, &records->back());
-      // Elements in dequeue order, chunked. Volatile-queue elements
-      // ship too: the backup mirrors live state, not just the durable
-      // subset (its own durability policy still honors the queue's
-      // options because volatile inserts skip the backup's WAL).
-      std::vector<MicroOp> chunk;
-      for (const auto& [key, eid] : qs->order) {
-        const InternalElement& ie = qs->elements.at(eid);
-        MicroOp ins;
-        ins.kind = MicroOp::kInsert;
-        ins.queue = name;
-        ins.element = ie.meta;
-        ins.payload = ie.payload;
-        chunk.push_back(std::move(ins));
-        if (chunk.size() >= kElementsPerRecord) {
-          records->emplace_back();
-          EncodeRecord(kRecCommitted, txn::kInvalidTxnId, chunk,
-                       &records->back());
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) {
-        records->emplace_back();
-        EncodeRecord(kRecCommitted, txn::kInvalidTxnId, chunk,
-                     &records->back());
-      }
-    }
-    if (!shard->triggers.empty()) {
-      std::vector<MicroOp> trigs;
-      for (const TriggerSpec& t : shard->triggers) {
-        MicroOp op;
-        op.kind = MicroOp::kSetTrigger;
-        op.queue = t.watched_queue;
-        op.trigger = t;
-        trigs.push_back(std::move(op));
-      }
-      records->emplace_back();
-      EncodeRecord(kRecCommitted, txn::kInvalidTxnId, trigs,
-                   &records->back());
-    }
-  }
+  for (auto& shard : shards_) EncodeShardState(*shard, false, records);
   return Status::OK();
+}
+
+void QueueRepository::EncodeShardState(const Shard& s, bool checkpoint,
+                                       std::vector<std::string>* records) const
+    REQUIRES(s.mu) {
+  auto emit = [this, records](const std::vector<MicroOp>& ops) {
+    records->emplace_back();
+    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &records->back());
+  };
+  constexpr size_t kElementsPerRecord = 256;
+  for (const auto& [name, qs] : s.queues) {
+    // One metadata record per queue: creation, started flag,
+    // registrations and their saved last-ops.
+    std::vector<MicroOp> meta;
+    {
+      MicroOp create;
+      create.kind = MicroOp::kCreateQueue;
+      create.queue = name;
+      create.qoptions = qs->options;
+      meta.push_back(std::move(create));
+    }
+    if (!qs->started) {
+      MicroOp stop;
+      stop.kind = MicroOp::kStopQueue;
+      stop.queue = name;
+      meta.push_back(std::move(stop));
+    }
+    for (const auto& [registrant, reg] : qs->registrations) {
+      MicroOp r;
+      r.kind = MicroOp::kRegister;
+      r.queue = name;
+      r.registrant = registrant;
+      r.stable = reg.stable;
+      meta.push_back(std::move(r));
+      if (reg.stable && reg.last.type != OpType::kNone) {
+        MicroOp last;
+        last.kind = MicroOp::kSetLastOp;
+        last.queue = name;
+        last.registrant = registrant;
+        last.op_type = reg.last.type;
+        last.tag = reg.last.tag;
+        last.element = reg.last.meta;
+        last.element.eid = reg.last.eid;
+        last.payload = reg.last.payload;
+        meta.push_back(std::move(last));
+      }
+    }
+    emit(meta);
+    // Elements in dequeue order, chunked. A replica seed ships
+    // volatile-queue elements too: the backup mirrors live state, not
+    // just the durable subset (its own durability policy still honors
+    // the queue's options because volatile inserts skip the backup's
+    // WAL). A checkpoint persists none of them.
+    if (checkpoint && !qs->options.durable) continue;
+    std::vector<MicroOp> chunk;
+    for (const auto& [key, eid] : qs->order) {
+      const InternalElement& ie = qs->elements.at(eid);
+      MicroOp ins;
+      ins.kind = MicroOp::kInsert;
+      ins.queue = name;
+      ins.element = ie.meta;
+      ins.payload = ie.payload;
+      chunk.push_back(std::move(ins));
+      if (chunk.size() >= kElementsPerRecord) {
+        emit(chunk);
+        chunk.clear();
+      }
+    }
+    if (!chunk.empty()) emit(chunk);
+  }
+  if (!s.triggers.empty()) {
+    std::vector<MicroOp> trigs;
+    for (const TriggerSpec& t : s.triggers) {
+      MicroOp op;
+      op.kind = MicroOp::kSetTrigger;
+      op.queue = t.watched_queue;
+      op.trigger = t;
+      trigs.push_back(std::move(op));
+    }
+    emit(trigs);
+  }
+  if (checkpoint) {
+    // Always present, so even an empty slice carries the eid
+    // watermark in its record header.
+    MicroOp mark;
+    mark.kind = MicroOp::kSetReplWatermark;
+    mark.element.eid = applied_repl_seq();
+    emit({mark});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -2096,125 +2021,37 @@ Status QueueRepository::OpenShardWal(Shard* s, uint64_t generation) {
   return Status::OK();
 }
 
-void QueueRepository::EncodeShardSnapshot(const Shard& s, std::string* out)
-    const REQUIRES(s.mu) {
-  util::PutFixed64(out, next_eid_.load(std::memory_order_relaxed));
-  util::PutVarint64(out, s.queues.size());
-  for (const auto& [name, qs] : s.queues) {
-    util::PutLengthPrefixed(out, name);
-    EncodeQueueOptions(qs->options, out);
-    out->push_back(qs->started ? 1 : 0);
-    util::PutVarint64(out, qs->registrations.size());
-    for (const auto& [registrant, reg] : qs->registrations) {
-      util::PutLengthPrefixed(out, registrant);
-      out->push_back(reg.stable ? 1 : 0);
-      out->push_back(static_cast<char>(reg.last.type));
-      util::PutFixed64(out, reg.last.eid);
-      util::PutLengthPrefixed(out, reg.last.tag);
-      EncodeElementParts(reg.last.meta, reg.last.payload, out);
-    }
-    // Elements in dequeue order (volatile queues persist none).
-    if (qs->options.durable) {
-      util::PutVarint64(out, qs->order.size());
-      for (const auto& [key, eid] : qs->order) {
-        const InternalElement& ie = qs->elements.at(eid);
-        EncodeElementParts(ie.meta, ie.payload, out);
-      }
-    } else {
-      util::PutVarint64(out, 0);
-    }
-  }
-  util::PutVarint64(out, s.triggers.size());
-  for (const TriggerSpec& t : s.triggers) EncodeTrigger(t, out);
-  // Trailing (optional for old checkpoints) applied replication
-  // watermark, so a checkpointed backup doesn't forget how far it got.
-  util::PutFixed64(out, applied_repl_seq());
-}
-
-Status QueueRepository::DecodeShardSnapshot(Shard* s, Slice input)
-    REQUIRES(s->mu) {
-  uint64_t next_eid = 0;
-  RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &next_eid));
-  // Shards decode in parallel; the counter takes the max slice value.
-  AdvanceEid(next_eid);
-  uint64_t queue_count = 0;
-  RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &queue_count));
-  for (uint64_t i = 0; i < queue_count; ++i) {
-    std::string name;
-    RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &name));
-    auto qs = std::make_unique<QueueState>();
-    RRQ_RETURN_IF_ERROR(DecodeQueueOptions(&input, &qs->options));
-    if (input.empty()) return Status::Corruption("truncated snapshot");
-    qs->started = input[0] != 0;
-    input.remove_prefix(1);
-    uint64_t reg_count = 0;
-    RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &reg_count));
-    for (uint64_t r = 0; r < reg_count; ++r) {
-      std::string registrant;
-      RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &registrant));
-      if (input.size() < 2) return Status::Corruption("truncated registration");
-      RegistrationRecord reg;
-      reg.stable = input[0] != 0;
-      RRQ_RETURN_IF_ERROR(
-          DecodeOpType(static_cast<uint8_t>(input[1]), &reg.last.type));
-      input.remove_prefix(2);
-      RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &reg.last.eid));
-      RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &reg.last.tag));
-      Element last_element;
-      RRQ_RETURN_IF_ERROR(DecodeElement(&input, &last_element));
-      reg.last.payload = std::make_shared<const std::string>(
-          std::move(last_element.contents));
-      last_element.contents.clear();
-      reg.last.meta = std::move(last_element);
-      qs->registrations[registrant] = std::move(reg);
-    }
-    uint64_t element_count = 0;
-    RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &element_count));
-    for (uint64_t e = 0; e < element_count; ++e) {
-      Element decoded;
-      RRQ_RETURN_IF_ERROR(DecodeElement(&input, &decoded));
-      InternalElement ie;
-      ie.payload =
-          std::make_shared<const std::string>(std::move(decoded.contents));
-      decoded.contents.clear();
-      ie.meta = std::move(decoded);
-      ie.seq = s->next_seq++;
-      qs->order[{~ie.meta.priority, ie.seq}] = ie.meta.eid;
-      qs->elements[ie.meta.eid] = std::move(ie);
-    }
-    s->queues[name] = std::move(qs);
-  }
-  uint64_t trigger_count = 0;
-  RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &trigger_count));
-  for (uint64_t i = 0; i < trigger_count; ++i) {
-    TriggerSpec t;
-    RRQ_RETURN_IF_ERROR(DecodeTrigger(&input, &t));
-    s->triggers.push_back(std::move(t));
-  }
-  // Checkpoints written before replication shipping end here.
-  if (!input.empty()) {
-    uint64_t repl_seq = 0;
-    RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &repl_seq));
-    uint64_t cur = applied_repl_seq_.load(std::memory_order_relaxed);
-    while (repl_seq > cur && !applied_repl_seq_.compare_exchange_weak(
-                                 cur, repl_seq, std::memory_order_release)) {
-    }
-  }
-  return Status::OK();
-}
-
 Status QueueRepository::LoadShardCheckpoint(Shard* s, uint64_t generation) {
   env::Env* env = options_.env;
   const std::string path = CheckpointPath(generation, s->index);
   if (!env->FileExists(path)) return Status::OK();
   std::string data;
   RRQ_RETURN_IF_ERROR(env::ReadFileToString(env, path, &data));
+  // A slice is a counted list of committed records, so one cut at any
+  // point, a record boundary included, surfaces as Corruption.
+  Slice input(data);
+  uint64_t count = 0;
+  RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &count));
   MutexLock guard(s->mu);
-  return DecodeShardSnapshot(s, Slice(data));
+  Record rec;
+  for (uint64_t i = 0; i < count; ++i) {
+    Slice bytes;
+    RRQ_RETURN_IF_ERROR(util::GetLengthPrefixed(&input, &bytes));
+    RRQ_RETURN_IF_ERROR(DecodeRecord(bytes, &rec));
+    if (rec.type != kRecCommitted) {
+      return Status::Corruption("checkpoint holds a non-committed record");
+    }
+    // Shards load in parallel; the counter takes the max slice value.
+    AdvanceEid(rec.eid_watermark);
+    for (const MicroOp& op : rec.ops) ApplyMicroOp(s, op, nullptr);
+  }
+  if (!input.empty()) return Status::Corruption("trailing checkpoint bytes");
+  return Status::OK();
 }
 
-Status QueueRepository::ReplayShardWal(Shard* s, uint64_t generation,
+Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
                                        ShardRecovery* rec) {
+  RRQ_RETURN_IF_ERROR(LoadShardCheckpoint(s, generation));
   env::Env* env = options_.env;
   const std::string path = WalPath(generation, s->index);
   if (!env->FileExists(path)) return Status::OK();
@@ -2225,35 +2062,20 @@ Status QueueRepository::ReplayShardWal(Shard* s, uint64_t generation,
   Slice record;
   std::string scratch;
   MutexLock guard(s->mu);
+  Record r;
   while (reader.ReadRecord(&record, &scratch)) {
-    Slice input = record;
-    if (input.empty()) continue;
-    unsigned char type = static_cast<unsigned char>(input[0]);
-    input.remove_prefix(1);
-    uint64_t id = 0;
-    uint64_t eid_watermark = 0;
-    RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &id));
-    RRQ_RETURN_IF_ERROR(util::GetFixed64(&input, &eid_watermark));
-    AdvanceEid(eid_watermark);
-
-    uint64_t op_count = 0;
-    RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &op_count));
-    std::vector<MicroOp> ops;
-    ops.reserve(static_cast<size_t>(op_count));
-    for (uint64_t i = 0; i < op_count; ++i) {
-      MicroOp op;
-      RRQ_RETURN_IF_ERROR(DecodeMicroOp(&input, &op));
-      ops.push_back(std::move(op));
-    }
-
-    if (type == kRecCommitted) {
-      for (const MicroOp& op : ops) ApplyMicroOp(s, op, nullptr);
-    } else if (type == kRecPrepare) {
+    if (record.empty()) continue;
+    RRQ_RETURN_IF_ERROR(DecodeRecord(record, &r));
+    AdvanceEid(r.eid_watermark);
+    const txn::TxnId id = r.id;
+    if (r.type == kRecCommitted) {
+      for (const MicroOp& op : r.ops) ApplyMicroOp(s, op, nullptr);
+    } else if (r.type == kRecPrepare) {
       if (rec->prepared.find(id) == rec->prepared.end()) {
         rec->prepared_order.push_back(id);
       }
-      rec->prepared[id] = std::move(ops);
-    } else if (type == kRecCommit) {
+      rec->prepared[id] = std::move(r.ops);
+    } else if (r.type == kRecCommit) {
       // Record the id even when the prepare lives on another shard's
       // WAL: the merged set resolves cross-shard leftovers.
       rec->committed.insert(id);
@@ -2267,12 +2089,6 @@ Status QueueRepository::ReplayShardWal(Shard* s, uint64_t generation,
     }
   }
   return Status::OK();
-}
-
-Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
-                                     ShardRecovery* rec) {
-  RRQ_RETURN_IF_ERROR(LoadShardCheckpoint(s, generation));
-  return ReplayShardWal(s, generation, rec);
 }
 
 // Holds every shard lock at once (a dynamic lock set — see
@@ -2290,10 +2106,13 @@ Status QueueRepository::Checkpoint() NO_THREAD_SAFETY_ANALYSIS {
   std::vector<std::shared_ptr<wal::LogWriter>> new_wals(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard* s = shards_[i].get();
-    std::string snapshot;
-    EncodeShardSnapshot(*s, &snapshot);
-    RRQ_RETURN_IF_ERROR(env::WriteStringToFileSync(
-        env, snapshot, CheckpointPath(next_gen, i)));
+    std::vector<std::string> records;
+    EncodeShardState(*s, /*checkpoint=*/true, &records);
+    std::string slice;
+    util::PutVarint64(&slice, records.size());
+    for (const std::string& r : records) util::PutLengthPrefixed(&slice, r);
+    RRQ_RETURN_IF_ERROR(
+        env::WriteStringToFileSync(env, slice, CheckpointPath(next_gen, i)));
 
     std::unique_ptr<env::WritableFile> file;
     RRQ_RETURN_IF_ERROR(env->NewWritableFile(WalPath(next_gen, i), &file));

@@ -189,18 +189,16 @@ class QueueRepository final : public txn::ResourceManager {
   /// log the record before applying. A record whose ops land on
   /// several local shards applies through the cross-shard commit
   /// protocol, so it stays atomic across a backup crash.
-  Status ApplyReplicatedRecord(const Slice& record);
-
-  /// Sequence-tracked apply for networked WAL shipping (src/repl/):
+  ///
   /// `seq` is the shipper's monotonically increasing record sequence
-  /// number. A record whose seq is at or below the applied watermark
-  /// is a duplicate delivery and is acknowledged without re-applying;
-  /// a fresh record applies atomically WITH the watermark advance (the
+  /// number for networked WAL shipping (src/repl/); 0 means untracked.
+  /// A record whose seq is at or below the applied watermark is a
+  /// duplicate delivery and is acknowledged without re-applying; a
+  /// fresh record applies atomically WITH the watermark advance (the
   /// watermark rides inside the record as a micro-op, so a backup
   /// crash can never apply one without the other — re-delivery after
-  /// recovery then dedups instead of double-applying). seq 0 means
-  /// untracked and behaves exactly like the single-argument overload.
-  Status ApplyReplicatedRecord(const Slice& record, uint64_t seq);
+  /// recovery then dedups instead of double-applying).
+  Status ApplyReplicatedRecord(const Slice& record, uint64_t seq = 0);
 
   /// Highest replication sequence number durably applied by this
   /// repository (0 = none). Survives restart: the watermark is logged
@@ -293,18 +291,18 @@ class QueueRepository final : public txn::ResourceManager {
   uint64_t wal_sync_request_count() const;
 
   /// Writes a checkpoint (one slice per shard under a single atomic
-  /// generation cut) and truncates the WALs.
+  /// generation cut) and truncates the WALs. A slice is a counted list
+  /// of ordinary committed records, recovered like the WAL.
   Status Checkpoint();
 
  private:
   // A single micro-operation inside a logged record. Records are
   // redo-only: applying a micro-op mutates committed state.
   //
-  // Element contents ride in `payload` (immutable, refcounted) when
-  // the op was built from live state — sharing the bytes instead of
-  // copying them under the shard lock. Ops decoded from the WAL carry
-  // contents inline in `element.contents`; PayloadOf() normalizes the
-  // two. EncodeMicroOp writes identical bytes either way.
+  // Element contents ride in `payload` (immutable, refcounted), never
+  // in `element.contents`: an op built from live state shares the
+  // stored bytes instead of copying them under the shard lock, and a
+  // decoded op hands its bytes to the element it inserts.
   struct MicroOp {
     enum Kind : unsigned char {
       kCreateQueue = 1,
@@ -329,7 +327,7 @@ class QueueRepository final : public txn::ResourceManager {
     Kind kind;
     std::string queue;
     std::string registrant;   // kRegister/kDeregister/kSetLastOp
-    Element element;          // kInsert (full), kRemove (eid only)
+    Element element;          // kInsert/kSetLastOp (metadata), kRemove (eid)
     std::shared_ptr<const std::string> payload;  // kInsert/kSetLastOp contents
     QueueOptions qoptions;    // kCreateQueue
     bool stable = false;      // kRegister
@@ -422,12 +420,23 @@ class QueueRepository final : public txn::ResourceManager {
   // Serialization.
   static void EncodeMicroOp(const MicroOp& op, std::string* out);
   static Status DecodeMicroOp(Slice* input, MicroOp* op);
+  // A record: [type][txn id][eid watermark][op count][ops]. The WAL,
+  // checkpoint slices and replication all carry this one format.
+  struct Record {
+    unsigned char type = 0;
+    txn::TxnId id = txn::kInvalidTxnId;
+    uint64_t eid_watermark = 0;
+    std::vector<MicroOp> ops;
+  };
   void EncodeRecord(unsigned char type, txn::TxnId id,
                     const std::vector<MicroOp>& ops, std::string* out) const;
-  // Logs and applies an auto-committed op list: single-shard op lists
-  // take one shard lock and append one record; op lists spanning
-  // shards go through CommitSpanning. Takes shard locks itself.
-  Status AutoCommit(std::vector<MicroOp> ops);
+  static Status DecodeRecord(Slice input, Record* out);
+  // Logs and applies an auto-committed op list, routing it to
+  // CommitOnShard or, when it spans shards, CommitSpanning. `record`
+  // may carry pre-encoded bytes to log verbatim (replicated records);
+  // empty means encode from `ops`. Takes shard locks itself.
+  Status AutoCommit(std::vector<MicroOp> ops, std::string record = "",
+                    bool evaluate_reactions = true);
   // A commit staged under one shard lock, handed off to FinishCommit
   // once the lock is released: the WAL writer + offset to sync, the
   // record bytes for the replication sink, the queues to notify, and
@@ -437,20 +446,20 @@ class QueueRepository final : public txn::ResourceManager {
     std::shared_ptr<wal::LogWriter> wal;
     uint64_t end_offset = 0;
     std::string record;
-    bool replicate = false;
     std::vector<std::string> notify;
     std::vector<ReplTicket> tickets;
   };
-  // Single-shard auto-commit. `record` may carry pre-encoded bytes to
-  // log verbatim (replicated records); empty means encode from `ops`.
+  // Single-shard auto-commit; `record` as in AutoCommit.
   Status CommitOnShard(Shard* s, std::vector<MicroOp> ops,
                        std::string record, bool evaluate_reactions);
-  // First half of a single-shard commit, run under the shard lock
+  // First half of every single-shard commit, run under the shard lock
   // (REQUIRES(s->mu) on the definition): appends the record, applies
-  // the ops, reserves the replication ticket. The caller releases the
-  // lock and passes `out` to FinishCommit. On error nothing was
-  // applied and `out` needs no cleanup. The dequeue/kill paths use
-  // this directly so decide-and-commit stays atomic under the lock.
+  // the ops, reserves the replication ticket. `record` as in
+  // AutoCommit, or a 2PC commit marker, which logs no ops. The caller
+  // releases the lock and passes `out` to FinishCommit. On error
+  // nothing was applied and `out` needs no cleanup. The dequeue, kill
+  // and transaction-commit paths call this directly so
+  // decide-and-commit stays atomic under the lock.
   Status StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
                            std::string record, CommitHandoff* out);
   // Second half: syncs the WAL, wakes waiters, delivers replication in
@@ -460,7 +469,8 @@ class QueueRepository final : public txn::ResourceManager {
   // under an internal txn id, then commits everywhere with one
   // coordinator sync. Recovery resolves leftover prepares against the
   // union of commit records across shards, so the op list applies
-  // atomically or not at all. `record` as in CommitOnShard.
+  // atomically or not at all. `record` as in AutoCommit. Only
+  // AutoCommit calls it, with ops on at least two shards.
   Status CommitSpanning(std::vector<MicroOp> ops, std::string record,
                         bool evaluate_reactions);
   // Buffers ops under txn `t` and enlists each involved shard with the
@@ -509,14 +519,17 @@ class QueueRepository final : public txn::ResourceManager {
                           std::shared_ptr<const std::string> payload) const;
   void BuildShards(size_t count);
   Status OpenShardWal(Shard* s, uint64_t generation);
+  // Appends a shard's state as committed records. A replica seed
+  // carries volatile queues' elements; a checkpoint leaves them out
+  // and adds the applied replication watermark.
+  void EncodeShardState(const Shard& s, bool checkpoint,
+                        std::vector<std::string>* records) const;
   Status LoadShardCheckpoint(Shard* s, uint64_t generation);
-  Status ReplayShardWal(Shard* s, uint64_t generation, ShardRecovery* rec);
+  // Loads the shard's checkpoint slice, then replays its WAL.
   Status RecoverShard(Shard* s, uint64_t generation, ShardRecovery* rec);
   std::string WalPath(uint64_t g, size_t shard) const;
   std::string CheckpointPath(uint64_t g, size_t shard) const;
   std::string CurrentPath() const;
-  void EncodeShardSnapshot(const Shard& s, std::string* out) const;
-  Status DecodeShardSnapshot(Shard* s, Slice input);
   // Removes a retired/orphaned file, logging and counting failures.
   void RemoveRetiredFile(const std::string& path);
   // Lifts the eid counter to at least `floor` (replicated records,

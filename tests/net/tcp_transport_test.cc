@@ -173,6 +173,44 @@ TEST(TcpTransportTest, ReconnectsAfterServerRestartOnSamePort) {
   EXPECT_GE(channel.connects(), 2u);
 }
 
+// The reconnect backoff must not hold the channel lock. While a Call
+// retries a dead target, SetTarget (the failover repoint) returns at
+// once and wakes the Call, which then connects to the new target. No
+// request bytes left before the switch, so the Call's one send is a
+// first send, not a resend (§2).
+TEST(TcpTransportTest, SetTargetInterruptsReconnectBackoff) {
+  TcpServer probe({}, [](const Slice&, std::string*) { return Status::OK(); });
+  ASSERT_TRUE(probe.Start().ok());
+  const uint16_t dead_port = probe.port();
+  probe.Stop();
+  TcpServer live(TcpServerOptions{}, [](const Slice& request, std::string* reply) {
+    reply->assign("echo:" + request.ToString());
+    return Status::OK();
+  });
+  ASSERT_TRUE(live.Start().ok());
+
+  TcpChannelOptions options = ChannelTo(dead_port);
+  options.max_connect_attempts = 10;
+  options.backoff_initial_micros = 500'000;
+  options.backoff_max_micros = 500'000;
+  TcpChannel channel(options);
+
+  Status call_status;
+  std::string reply;
+  std::thread caller([&] { call_status = channel.Call("ping", &reply); });
+  // The first attempt is refused at once; the caller is now backing off.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  channel.SetTarget("127.0.0.1", live.port());
+  const auto took = std::chrono::steady_clock::now() - start;
+  caller.join();
+
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+  ASSERT_TRUE(call_status.ok()) << call_status.ToString();
+  EXPECT_EQ(reply, "echo:ping");
+  EXPECT_EQ(live.requests_served(), 1u);
+}
+
 TEST(TcpTransportTest, OneWayIsDeliveredWithoutReply) {
   std::atomic<int> one_ways{0};
   TcpServer server(TcpServerOptions{}, [&one_ways](const Slice& request, std::string* reply) {

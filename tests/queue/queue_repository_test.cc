@@ -1,12 +1,15 @@
 #include "queue/queue_repository.h"
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "env/faulty_env.h"
 #include "env/mem_env.h"
 #include "txn/txn_manager.h"
+#include "util/coding.h"
 
 namespace rrq::queue {
 namespace {
@@ -756,12 +759,14 @@ TEST_F(QueueRepositoryTest, CorruptRegistrationTypeFailsOpen) {
   repo_.reset();
   std::string data;
   ASSERT_TRUE(env::ReadFileToString(&env_, "/qm/CHECKPOINT-1", &data).ok());
-  // Snapshot registration layout: length-prefixed registrant, stable
-  // byte, op-type byte.
-  const std::string needle = std::string(1, '\x0a') + "REGCORRUPT";
+  // The kSetLastOp micro-op: kind byte 9, length-prefixed queue,
+  // length-prefixed registrant, then the op-type byte.
+  const std::string needle = std::string("\x09\x01") + "q" +
+                             std::string(1, '\x0a') + "REGCORRUPT";
   const size_t pos = data.find(needle);
   ASSERT_NE(pos, std::string::npos);
-  data[pos + needle.size() + 1] = '\x7f';
+  ASSERT_EQ(data[pos + needle.size()], static_cast<char>(OpType::kEnqueue));
+  data[pos + needle.size()] = '\x7f';
   ASSERT_TRUE(env::WriteStringToFileSync(&env_, data, "/qm/CHECKPOINT-1").ok());
   RepositoryOptions options;
   options.env = &env_;
@@ -770,6 +775,233 @@ TEST_F(QueueRepositoryTest, CorruptRegistrationTypeFailsOpen) {
   QueueRepository corrupt("qm", options);
   EXPECT_TRUE(corrupt.Open().IsCorruption());
 }
+
+// A checkpoint slice starts with its record count, so a slice cut
+// anywhere — at a record boundary, or just before the record that
+// carries the applied replication watermark — fails Open() instead of
+// loading a silently shorter state.
+TEST_F(QueueRepositoryTest, TruncatedCheckpointFailsOpen) {
+  MustEnqueue("q", "kept");
+  ASSERT_TRUE(repo_->CommitReplWatermark(7).ok());
+  ASSERT_TRUE(repo_->Checkpoint().ok());
+  repo_.reset();
+  std::string data;
+  ASSERT_TRUE(env::ReadFileToString(&env_, "/qm/CHECKPOINT-1", &data).ok());
+
+  RepositoryOptions options;
+  options.env = &env_;
+  options.dir = "/qm";
+  options.shards = 1;
+  auto open_cut = [&](size_t cut) {
+    EXPECT_TRUE(env::WriteStringToFileSync(&env_, data.substr(0, cut),
+                                           "/qm/CHECKPOINT-1")
+                    .ok());
+    QueueRepository cut_repo("qm", options);
+    return cut_repo.Open();
+  };
+  // The last 8 bytes: the old format's optional trailing watermark.
+  EXPECT_TRUE(open_cut(data.size() - 8).IsCorruption());
+  // The empty slice, and every record boundary short of the end.
+  EXPECT_TRUE(open_cut(0).IsCorruption());
+  Slice input(data);
+  uint64_t count = 0;
+  ASSERT_TRUE(util::GetVarint64(&input, &count).ok());
+  ASSERT_GE(count, 2u);  // Queue "q", then the watermark.
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t boundary = data.size() - input.size();
+    EXPECT_TRUE(open_cut(boundary).IsCorruption()) << "cut at " << boundary;
+    Slice record;
+    ASSERT_TRUE(util::GetLengthPrefixed(&input, &record).ok());
+  }
+  ASSERT_TRUE(input.empty());
+  ASSERT_TRUE(
+      env::WriteStringToFileSync(&env_, data, "/qm/CHECKPOINT-1").ok());
+  QueueRepository whole("qm", options);
+  ASSERT_TRUE(whole.Open().ok());
+  EXPECT_EQ(whole.applied_repl_seq(), 7u);
+  EXPECT_EQ(*whole.Depth("q"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint round trip. A checkpoint slice is a list of ordinary
+// committed records, so recovering from the WAL alone, from a
+// checkpoint alone and from a checkpoint plus a WAL tail must give the
+// same state and the same next eid.
+
+enum class CheckpointAt { kNever, kMiddle, kEnd };
+
+class CheckpointRoundTripTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  // Builds every kind of state recovery must carry, checkpointing at
+  // `at`, crashes, reopens, and returns the recovered state.
+  std::vector<std::string> BuildCrashAndDump(CheckpointAt at) {
+    env::MemEnv env;
+    txn::TransactionManager txn_mgr;
+    EXPECT_TRUE(txn_mgr.Open().ok());
+    RepositoryOptions options;
+    options.env = &env;
+    options.dir = "/rt";
+    options.shards = GetParam();
+    // The one transaction still prepared at the crash committed.
+    options.in_doubt_resolver = [](txn::TxnId) { return true; };
+    QueueRepository repo("rt", options);
+    EXPECT_TRUE(repo.Open().ok());
+    EXPECT_EQ(repo.shard_count(), GetParam());
+
+    QueueOptions poison;
+    poison.error_queue = "errors";
+    poison.max_aborts = 1;
+    QueueOptions vol;
+    vol.durable = false;
+    EXPECT_TRUE(repo.CreateQueue("work", poison).ok());
+    EXPECT_TRUE(repo.CreateQueue("volatile", vol).ok());
+    for (const char* q : {"stopped", "join", "done", "txq", "probe"}) {
+      EXPECT_TRUE(repo.CreateQueue(q).ok());
+    }
+    // Mixed priorities.
+    EXPECT_TRUE(repo.Enqueue(nullptr, "work", "low", 0).ok());
+    EXPECT_TRUE(repo.Enqueue(nullptr, "work", "high", 9).ok());
+    EXPECT_TRUE(repo.Enqueue(nullptr, "work", "mid", 5).ok());
+    // Stable registrants whose last op is an enqueue / a dequeue, and
+    // an unstable one.
+    EXPECT_TRUE(repo.Register("work", "enq-client", true).ok());
+    EXPECT_TRUE(
+        repo.Enqueue(nullptr, "work", "tagged", 3, "enq-client", "rid-1").ok());
+    EXPECT_TRUE(repo.Register("work", "deq-client", true).ok());
+    EXPECT_TRUE(repo.Dequeue(nullptr, "work", "deq-client", "rid-2").ok());
+    EXPECT_TRUE(repo.Register("work", "plain", false).ok());
+    if (at == CheckpointAt::kMiddle) {
+      EXPECT_TRUE(repo.Checkpoint().ok());
+    }
+    // Abort count and code: the first abort moves "mid" to the error
+    // queue; "bumped" only gains an abort count.
+    {
+      auto t = txn_mgr.Begin();
+      EXPECT_TRUE(repo.Dequeue(t.get(), "work").ok());
+      EXPECT_TRUE(t->Abort().ok());
+    }
+    EXPECT_TRUE(repo.Enqueue(nullptr, "txq", "bumped", 0).ok());
+    {
+      auto t = txn_mgr.Begin();
+      EXPECT_TRUE(repo.Dequeue(t.get(), "txq").ok());
+      EXPECT_TRUE(t->Abort().ok());
+    }
+    // A stopped queue that holds an element, and a volatile queue with
+    // elements (lost at the crash however recovery runs).
+    EXPECT_TRUE(repo.Enqueue(nullptr, "stopped", "held", 0).ok());
+    EXPECT_TRUE(repo.StopQueue("stopped").ok());
+    EXPECT_TRUE(repo.Enqueue(nullptr, "volatile", "v1", 0).ok());
+    EXPECT_TRUE(repo.Enqueue(nullptr, "volatile", "v2", 0).ok());
+    // A trigger two arrivals short of firing.
+    EXPECT_TRUE(repo.Enqueue(nullptr, "join", "j1", 0).ok());
+    EXPECT_TRUE(repo.SetTrigger({"join", 3, "done", "joined", 2}).ok());
+    // A prepared-but-undecided transaction.
+    EXPECT_TRUE(repo.Enqueue(nullptr, "txq", "taken", 1).ok());
+    auto prepared = txn_mgr.Begin();
+    EXPECT_TRUE(repo.Dequeue(prepared.get(), "txq").ok());
+    EXPECT_TRUE(repo.Enqueue(prepared.get(), "txq", "made-in-txn", 0).ok());
+    EXPECT_TRUE(repo.Prepare(prepared->id()).ok());
+    // A nonzero applied replication watermark, logged last.
+    EXPECT_TRUE(repo.CommitReplWatermark(42).ok());
+    if (at == CheckpointAt::kEnd) {
+      EXPECT_TRUE(repo.Checkpoint().ok());
+    }
+    env.SimulateCrash();
+
+    std::vector<std::string> dump;
+    {
+      QueueRepository recovered("rt", options);
+      EXPECT_TRUE(recovered.Open().ok());
+      dump = Dump(&recovered);
+    }
+    prepared->Abort();  // Releases the crashed instance's transaction.
+    return dump;
+  }
+
+  // The recovered state, read through the public API (destructively:
+  // queues are drained).
+  static std::vector<std::string> Dump(QueueRepository* r) {
+    std::vector<std::string> out;
+    auto next = r->Enqueue(nullptr, "probe", "next");
+    out.push_back("next eid " + (next.ok() ? std::to_string(*next)
+                                           : next.status().ToString()));
+    out.push_back("repl seq " + std::to_string(r->applied_repl_seq()));
+    for (const char* reg : {"enq-client", "deq-client", "plain"}) {
+      auto info = r->Register("work", reg, true);
+      if (!info.ok()) {
+        out.push_back(std::string(reg) + " " + info.status().ToString());
+        continue;
+      }
+      out.push_back(std::string(reg) + " registered=" +
+                    std::to_string(info->was_registered) + " last=" +
+                    std::to_string(static_cast<int>(info->last_op)) + " eid=" +
+                    std::to_string(info->last_eid) + " tag=" +
+                    info->last_tag + " element=" + info->last_element);
+    }
+    // Two more arrivals fire the trigger if it survived.
+    EXPECT_TRUE(r->Enqueue(nullptr, "join", "j2", 0).ok());
+    EXPECT_TRUE(r->Enqueue(nullptr, "join", "j3", 0).ok());
+    for (const std::string& q : r->ListQueues()) {
+      auto o = r->GetQueueOptions(q);
+      EXPECT_TRUE(o.ok());
+      out.push_back(q + " durable=" + std::to_string(o->durable) +
+                    " max_aborts=" + std::to_string(o->max_aborts) +
+                    " error_queue=" + o->error_queue);
+      for (;;) {
+        auto e = r->Dequeue(nullptr, q);
+        if (e.status().IsFailedPrecondition()) {
+          out.push_back(q + " stopped");
+          EXPECT_TRUE(r->StartQueue(q).ok());
+          continue;
+        }
+        if (!e.ok()) break;
+        out.push_back(q + " eid=" + std::to_string(e->eid) + " priority=" +
+                      std::to_string(e->priority) + " aborts=" +
+                      std::to_string(e->abort_count) + " code=" +
+                      e->abort_code + " " + e->contents);
+      }
+    }
+    return out;
+  }
+
+  static bool HasLine(const std::vector<std::string>& dump,
+                      const std::string& prefix, const std::string& text) {
+    for (const std::string& line : dump) {
+      if (line.rfind(prefix, 0) == 0 &&
+          line.find(text) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+TEST_P(CheckpointRoundTripTest, WalCheckpointAndTailRecoverTheSameState) {
+  const std::vector<std::string> wal_only =
+      BuildCrashAndDump(CheckpointAt::kNever);
+  // The reference itself carries every kind of state.
+  EXPECT_TRUE(HasLine(wal_only, "repl seq", "42"));
+  EXPECT_TRUE(HasLine(wal_only, "enq-client", "last=1"));
+  EXPECT_TRUE(HasLine(wal_only, "enq-client", "tag=rid-1 element=tagged"));
+  EXPECT_TRUE(HasLine(wal_only, "deq-client", "tag=rid-2 element=high"));
+  EXPECT_TRUE(HasLine(wal_only, "plain", "registered=1 last=0"));
+  EXPECT_TRUE(HasLine(wal_only, "stopped stopped", ""));
+  EXPECT_TRUE(HasLine(wal_only, "stopped eid", "held"));
+  EXPECT_FALSE(HasLine(wal_only, "volatile eid", ""));
+  EXPECT_TRUE(HasLine(wal_only, "done eid", "priority=2 aborts=0 code= joined"));
+  EXPECT_TRUE(HasLine(wal_only, "errors eid",
+                      "priority=5 aborts=1 code=abort limit reached mid"));
+  EXPECT_TRUE(HasLine(wal_only, "txq eid", "aborts=1 code= bumped"));
+  EXPECT_TRUE(HasLine(wal_only, "txq eid", "made-in-txn"));
+  EXPECT_FALSE(HasLine(wal_only, "txq eid", "taken"));
+  EXPECT_TRUE(HasLine(wal_only, "work eid", "priority=3"));
+
+  EXPECT_EQ(BuildCrashAndDump(CheckpointAt::kEnd), wal_only);
+  EXPECT_EQ(BuildCrashAndDump(CheckpointAt::kMiddle), wal_only);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CheckpointRoundTripTest,
+                         ::testing::Values(1u, 4u));
 
 // ---------------------------------------------------------------------------
 // Sharded repository semantics
