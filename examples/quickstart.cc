@@ -36,9 +36,9 @@ int main() {
   //    is the "reply processor".
   auto client = system.MakeClient(
       "quickstart-client",
-      [](const std::string& reply, bool maybe_duplicate) {
+      [](const rrq::queue::ReplyEnvelope& reply, bool maybe_duplicate) {
         printf("  reply%s: %s\n", maybe_duplicate ? " (redelivered)" : "",
-               reply.c_str());
+               reply.body.c_str());
         return Status::OK();
       });
   if (!client.ok()) {

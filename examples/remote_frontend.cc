@@ -97,10 +97,11 @@ int main(int argc, char** argv) {
   options.clerk.receive_timeout_micros = 200'000;
   options.max_recovery_attempts = 64;
   client::ReliableClient front_end(
-      options, [&checker](const std::string& reply, bool /*maybe_dup*/) {
+      options, [&checker](const rrq::queue::ReplyEnvelope& reply,
+                          bool /*maybe_dup*/) {
         std::string rid;
         uint64_t count = 0;
-        if (ParseReply(reply, &rid, &count)) {
+        if (ParseReply(reply.body, &rid, &count)) {
           checker.RecordReplyProcessed(rid);
           for (uint64_t e = 0; e < count; ++e) {
             checker.RecordCommittedExecution(rid);

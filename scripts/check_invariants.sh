@@ -22,6 +22,11 @@
 #     that holds the loop, and src/ uses no kernel submission ring at
 #     all: the ring backend was measured, won nowhere, and was deleted.
 #     (The bracketed letters keep this script from matching itself.)
+#  5. One session recovery loop (DESIGN.md §10): calls to the clerk's
+#     Connect() and Rereceive() in src/ are confined to
+#     src/client/reliable_client.cc, the paper's Fig 2 loop that every
+#     multi-request client (ClerkPool, StreamingClient) runs. src/testing/ is
+#     exempt: the crash-sweep harness drives a bare clerk on purpose.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +86,14 @@ hits=$(grep -rnE 'io_[u]ring|IO[R]ING_|lib[u]ring' \
   src/ --include='*.h' --include='*.cc' || true)
 if [[ -n "$hits" ]]; then
   violation "kernel submission ring in src/ (the transport has one epoll loop, DESIGN.md §13)" "$hits"
+fi
+
+# --- 5. One session recovery loop -----------------------------------
+hits=$(grep -rnE '(->|\.)(Co[n]nect\(\)|Re[r]eceive\()' \
+  src/ --include='*.h' --include='*.cc' \
+  | grep -vE '^src/(client/reliable_client\.cc:|testing/)' || true)
+if [[ -n "$hits" ]]; then
+  violation "clerk Connect()/Rereceive() call outside src/client/reliable_client.cc (the one session recovery loop, DESIGN.md §10)" "$hits"
 fi
 
 # --- Informational: annotation coverage ----------------------------

@@ -46,22 +46,6 @@ std::string ReliableClient::DeviceState() const {
                                       options_.device->ReadState();
 }
 
-Status ReliableClient::ProcessReply(const std::string& reply,
-                                    bool maybe_duplicate) {
-  if (maybe_duplicate) ++redeliveries_;
-  // The processor first (display etc., at-least-once), the
-  // non-idempotent device last: a crash in between makes the resync
-  // logic reprocess, re-running the processor but emitting exactly
-  // once overall.
-  if (processor_ != nullptr) {
-    RRQ_RETURN_IF_ERROR(processor_(reply, maybe_duplicate));
-  }
-  if (options_.device != nullptr) {
-    RRQ_RETURN_IF_ERROR(options_.device->Emit(reply));
-  }
-  return Status::OK();
-}
-
 Status ReliableClient::Reconnect(ConnectResult* result) {
   Status last = Status::Unavailable("no reconnect attempts made");
   for (int attempt = 0; attempt < options_.max_recovery_attempts; ++attempt) {
@@ -83,19 +67,6 @@ Status ReliableClient::Reconnect(ConnectResult* result) {
   return last;
 }
 
-Result<queue::ReplyEnvelope> ReliableClient::DecodeAndCheck(
-    const std::string& raw, const std::string& rid) {
-  queue::ReplyEnvelope envelope;
-  RRQ_RETURN_IF_ERROR(queue::DecodeReplyEnvelope(raw, &envelope));
-  if (envelope.rid != rid) {
-    // The protocol guarantees Request-Reply Matching; a mismatch means
-    // the reply queue is shared or corrupted.
-    return Status::Internal("reply rid mismatch: expected " + rid + ", got " +
-                            envelope.rid);
-  }
-  return envelope;
-}
-
 Status ReliableClient::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   ConnectResult cr;
@@ -106,157 +77,186 @@ Status ReliableClient::Start() {
   // receives the pending reply; with a received-but-maybe-unprocessed
   // reply (state Reply-Recvd) it rereads the retained copy and
   // reprocesses unless the testable device proves it was processed.
-  if (!cr.s_rid.empty()) {
-    auto reply = AwaitReply(cr.s_rid, cr.ckpt);
-    if (!reply.ok() && !reply.status().IsAborted()) return reply.status();
-  }
+  rid_ = cr.s_rid;
+  wire_.clear();  // The previous incarnation's request is not resendable.
+  if (in_flight()) BeginReceive(cr.ckpt);
+  while (in_flight()) RRQ_RETURN_IF_ERROR(Poll().status());
   started_ = true;
   return Status::OK();
 }
 
-Result<std::string> ReliableClient::AwaitReply(const std::string& rid,
-                                               const std::string& ckpt_hint) {
-  // Tracks the ckpt value the most recent reconnect reported, for the
-  // testable-device "was it already processed?" comparison.
-  std::string resume_ckpt = ckpt_hint;
-  // True only when a Connect proved the dequeue for *this* rid already
-  // committed (r_rid == rid). A raw Reply-Recvd clerk state is not
-  // enough: after a mid-await reconnect it can refer to the previous
-  // request.
-  bool resumed_with_reply = clerk_->state() == SessionState::kReplyRecvd;
-
-  // Reconnects and asks the system what it saw for this rid. Returns
-  // NotFound when the request is not in the system at all (possible
-  // only for lost one-way sends) so Execute can resend it.
-  auto reconnect_and_classify = [this, &rid, &resume_ckpt,
-                                 &resumed_with_reply]() -> Status {
-    ConnectResult cr;
-    RRQ_RETURN_IF_ERROR(Reconnect(&cr));
-    if (cr.s_rid != rid) {
-      return Status::NotFound("request not in the system: " + rid);
-    }
-    resume_ckpt = cr.ckpt;
-    resumed_with_reply = cr.r_rid == rid;
-    return Status::OK();
-  };
-
-  // Timeouts (server still working) and recoveries (connectivity lost)
-  // spend separate budgets.
-  int polls = 0;
-  int recoveries = 0;
-  while (polls < options_.max_poll_attempts &&
-         recoveries < options_.max_recovery_attempts) {
-    if (resumed_with_reply) {
-      // The dequeue committed (a reconnect told us so) but we never
-      // saw the contents — read the retained copy (this is what
-      // Rereceive exists for, §3).
-      auto replay = clerk_->Rereceive();
-      if (!replay.ok()) {
-        const Status& s = replay.status();
-        if (s.IsUnavailable() || s.IsNotConnected()) {  // NOT Corruption: a
-          // corrupt retained element stays corrupt across reconnects.
-          ++recoveries;
-          RRQ_RETURN_IF_ERROR(reconnect_and_classify());
-          continue;
-        }
-        return s;
-      }
-      RRQ_ASSIGN_OR_RETURN(queue::ReplyEnvelope envelope,
-                           DecodeAndCheck(*replay, rid));
-      bool already_processed =
-          options_.device != nullptr && DeviceState() != resume_ckpt;
-      if (!already_processed) {
-        RRQ_RETURN_IF_ERROR(ProcessReply(
-            envelope.body, /*maybe_duplicate=*/options_.device == nullptr));
-      }
-      ++completed_;
-      if (!envelope.success) {
-        return Status::Aborted("request failed permanently: " + envelope.body);
-      }
-      return envelope.body;
-    }
-
-    const std::string ckpt = DeviceState();
-    auto r = clerk_->Receive(ckpt);
-    if (r.ok()) {
-      RRQ_ASSIGN_OR_RETURN(queue::ReplyEnvelope envelope,
-                           DecodeAndCheck(*r, rid));
-      RRQ_RETURN_IF_ERROR(
-          ProcessReply(envelope.body, /*maybe_duplicate=*/false));
-      ++completed_;
-      if (!envelope.success) {
-        return Status::Aborted("request failed permanently: " + envelope.body);
-      }
-      return envelope.body;
-    }
-    const Status& s = r.status();
-    if (s.IsTimedOut() || s.IsBusy() || s.IsNotFound()) {
-      ++polls;
-      // One-way sends are unacknowledged: after a stretch of fruitless
-      // polls, reconnect and ask whether the request ever arrived (§5:
-      // "can determine what happened when it reconnects"). A missing
-      // s_rid means the one-way message was lost — the NotFound makes
-      // Execute resend.
-      if (options_.clerk.send_mode == SendMode::kOneWay && polls % 8 == 0) {
-        ++recoveries;
-        RRQ_RETURN_IF_ERROR(reconnect_and_classify());
-      }
-      continue;  // Reply not there yet; poll again.
-    }
-    if (!NeedsReconnect(s)) return s;
-
-    // Uncertainty: the dequeue may or may not have committed.
-    ++recoveries;
-    RRQ_RETURN_IF_ERROR(reconnect_and_classify());
-    // If not resumed-with-reply we are back in Req-Sent: Receive again.
+Result<std::string> ReliableClient::Execute(const Slice& request) {
+  // A request an earlier call left in flight is finished first, as
+  // Fig 2's Connect finishes one: the session holds one at a time.
+  while (in_flight()) RRQ_RETURN_IF_ERROR(Poll().status());
+  RRQ_RETURN_IF_ERROR(Submit(request).status());
+  PolledReply reply;
+  while (!reply.has_value()) {
+    RRQ_ASSIGN_OR_RETURN(reply, Poll());
   }
-  return Status::Unavailable("no reply for " + rid);
+  if (!reply->success) {
+    return Status::Aborted("request failed permanently: " + reply->body);
+  }
+  return std::move(reply->body);
 }
 
-Result<std::string> ReliableClient::Execute(const Slice& request) {
+Result<std::string> ReliableClient::Submit(const Slice& request) {
   if (!started_) return Status::FailedPrecondition("client not started");
-  const std::string rid = MakeRid();
-
+  if (!rid_.empty()) {
+    return Status::FailedPrecondition("request already in flight: " + rid_);
+  }
+  rid_ = MakeRid();
   queue::RequestEnvelope envelope;
-  envelope.rid = rid;
+  envelope.rid = rid_;
   envelope.reply_queue = options_.clerk.reply_queue;
   envelope.body = request.ToString();
-  const std::string wire = queue::EncodeRequestEnvelope(envelope);
-  const Slice wrapped(wire);
+  wire_ = queue::EncodeRequestEnvelope(envelope);
+  sends_ = 0;
+  Status s = SendInFlight();
+  if (!s.ok()) return Settle(s);
+  return rid_;
+}
 
-  for (int round = 0; round < options_.max_recovery_attempts; ++round) {
-    // ---- Send with in-doubt resolution (§2). ---------------------------
-    bool sent = false;
-    for (int attempt = 0; !sent && attempt < options_.max_recovery_attempts;
-         ++attempt) {
-      Status s = clerk_->Send(wrapped, rid);
-      if (s.ok()) {
-        sent = true;
-        break;
-      }
-      if (s.IsFailedPrecondition() &&
-          clerk_->state() == SessionState::kReqSent &&
-          clerk_->last_sent_rid() == rid) {
-        sent = true;  // A resend round found the request already sent.
-        break;
-      }
-      if (!NeedsReconnect(s)) return s;
-      // The send is in doubt. Reconnect and ask the system what it saw.
-      ConnectResult cr;
-      RRQ_RETURN_IF_ERROR(Reconnect(&cr));
-      if (cr.s_rid == rid) {
-        sent = true;  // The enqueue committed; only the ack was lost.
-      }
-      // Otherwise the request never arrived: loop and resend. Because
-      // the rid is compared, a resend can never double-submit.
+Status ReliableClient::SendInFlight() {
+  // Send with in-doubt resolution (§2).
+  for (int attempt = 0; attempt < options_.max_recovery_attempts; ++attempt) {
+    Status s = clerk_->Send(wire_, rid_);
+    // A FailedPrecondition in Req-Sent for this rid: a resend found
+    // the request already sent.
+    if (s.ok() || (s.IsFailedPrecondition() &&
+                   clerk_->state() == SessionState::kReqSent &&
+                   clerk_->last_sent_rid() == rid_)) {
+      BeginReceive("");
+      return Status::OK();
     }
-    if (!sent) return Status::Unavailable("could not submit request: " + rid);
-
-    auto reply = AwaitReply(rid);
-    if (reply.ok() || !reply.status().IsNotFound()) return reply;
-    // NotFound: a one-way send was lost in transit — resend this rid.
+    if (!NeedsReconnect(s)) return s;
+    // The send is in doubt. Reconnect and ask the system what it saw.
+    ConnectResult cr;
+    RRQ_RETURN_IF_ERROR(Reconnect(&cr));
+    if (cr.s_rid == rid_) {
+      BeginReceive("");  // The enqueue committed; only the ack was lost.
+      return Status::OK();
+    }
+    // Otherwise the request never arrived: loop and resend. Because
+    // the rid is compared, a resend can never double-submit.
   }
-  return Status::Unavailable("could not complete request: " + rid);
+  return Status::Unavailable("could not submit request: " + rid_);
+}
+
+void ReliableClient::BeginReceive(const std::string& ckpt) {
+  resume_ckpt_ = ckpt;
+  resumed_with_reply_ = clerk_->state() == SessionState::kReplyRecvd;
+  polls_ = recoveries_ = 0;
+}
+
+Result<ReliableClient::PolledReply> ReliableClient::Poll() {
+  if (rid_.empty()) return Status::FailedPrecondition("no request in flight");
+  Result<PolledReply> reply = Step();
+  if (!reply.ok() && in_flight()) return Settle(reply.status());
+  return reply;
+}
+
+Status ReliableClient::Settle(const Status& s) {
+  const bool absent = clerk_->state() != SessionState::kDisconnected &&
+                      clerk_->last_sent_rid() != rid_;
+  if ((s.IsUnavailable() || s.IsTimedOut()) && !absent) {
+    polls_ = recoveries_ = sends_ = 0;
+  } else {
+    rid_.clear();
+  }
+  return s;
+}
+
+Result<ReliableClient::PolledReply> ReliableClient::Step() {
+  if (polls_ >= options_.max_poll_attempts ||
+      recoveries_ >= options_.max_recovery_attempts) {
+    return Status::Unavailable("no reply for " + rid_);
+  }
+  if (resumed_with_reply_) {
+    // The dequeue committed (a reconnect told us so) but we never saw
+    // the contents — read the retained copy (this is what Rereceive
+    // exists for, §3).
+    auto replay = clerk_->Rereceive();
+    if (replay.ok()) return Finish(*replay, /*reread=*/true);
+    const Status& s = replay.status();
+    // NOT Corruption: a corrupt retained element stays corrupt across
+    // reconnects.
+    if (!s.IsUnavailable() && !s.IsNotConnected()) return s;
+    RRQ_RETURN_IF_ERROR(Recover());
+    return PolledReply();
+  }
+
+  auto r = clerk_->Receive(DeviceState());
+  if (r.ok()) return Finish(*r, /*reread=*/false);
+  const Status& s = r.status();
+  if (s.IsTimedOut() || s.IsBusy() || s.IsNotFound()) {
+    ++polls_;
+    // One-way sends are unacknowledged: after a stretch of fruitless
+    // polls, reconnect and ask whether the request ever arrived (§5:
+    // "can determine what happened when it reconnects").
+    if (options_.clerk.send_mode == SendMode::kOneWay && polls_ % 8 == 0) {
+      RRQ_RETURN_IF_ERROR(Recover());
+    }
+    return PolledReply();  // Reply not there yet; poll again.
+  }
+  if (!NeedsReconnect(s)) return s;
+  // Uncertainty: the dequeue may or may not have committed.
+  RRQ_RETURN_IF_ERROR(Recover());
+  return PolledReply();
+}
+
+Result<ReliableClient::PolledReply> ReliableClient::Finish(
+    const std::string& raw, bool reread) {
+  // The reply is in hand: the request ends here, processed or not.
+  const std::string rid = std::move(rid_);
+  rid_.clear();
+  queue::ReplyEnvelope reply;
+  RRQ_RETURN_IF_ERROR(queue::DecodeReplyEnvelope(raw, &reply));
+  if (reply.rid != rid) {
+    // The protocol guarantees Request-Reply Matching; a mismatch means
+    // the reply queue is shared or corrupted.
+    return Status::Internal("reply rid mismatch: expected " + rid + ", got " +
+                            reply.rid);
+  }
+  // A reread reply may have been processed before the failure; only
+  // the device can prove it was, by no longer holding the ckpt the
+  // reconnect reported. Without one it is redelivered.
+  const bool maybe_duplicate = reread && options_.device == nullptr;
+  const bool already_processed =
+      reread && options_.device != nullptr && DeviceState() != resume_ckpt_;
+  if (maybe_duplicate) ++redeliveries_;
+  // The processor first (display etc., at-least-once), the
+  // non-idempotent device last: a crash in between makes the resync
+  // logic reprocess, re-running the processor but emitting exactly
+  // once overall.
+  if (!already_processed && processor_ != nullptr) {
+    RRQ_RETURN_IF_ERROR(processor_(reply, maybe_duplicate));
+  }
+  if (!already_processed && options_.device != nullptr) {
+    RRQ_RETURN_IF_ERROR(options_.device->Emit(reply.body));
+  }
+  ++completed_;
+  return PolledReply(std::move(reply));
+}
+
+Status ReliableClient::Recover() {
+  ++recoveries_;
+  ConnectResult cr;
+  RRQ_RETURN_IF_ERROR(Reconnect(&cr));
+  if (cr.s_rid == rid_) {
+    resume_ckpt_ = cr.ckpt;
+    resumed_with_reply_ = cr.r_rid == rid_;
+    return Status::OK();  // Otherwise back in Req-Sent: Receive again.
+  }
+  // The request is not in the system at all, possible only for a lost
+  // one-way send: resend this rid.
+  if (wire_.empty()) {
+    return Status::NotFound("request not in the system: " + rid_);
+  }
+  if (++sends_ >= options_.max_recovery_attempts) {
+    return Status::Unavailable("could not complete request: " + rid_);
+  }
+  return SendInFlight();
 }
 
 Result<ConnectResult> ReliableClient::Resynchronize() {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "client/clerk.h"
@@ -12,12 +13,13 @@
 
 namespace rrq::client {
 
-/// Called for each reply, at least once per request. With a
+/// Called for each reply, at least once per request, with the decoded
+/// reply envelope (its rid, success flag and body). With a
 /// TestableDevice configured, exactly once (the device's state
 /// deduplicates). The second argument is true when this delivery may
 /// be a repeat (post-recovery redelivery).
-using ReplyProcessor =
-    std::function<Status(const std::string& reply, bool maybe_duplicate)>;
+using ReplyProcessor = std::function<Status(const queue::ReplyEnvelope& reply,
+                                            bool maybe_duplicate)>;
 
 struct ReliableClientOptions {
   ClerkOptions clerk;
@@ -34,18 +36,20 @@ struct ReliableClientOptions {
 };
 
 /// The complete client program of Fig 2: a fault-tolerant sequential
-/// program wrapping a Clerk. Construction is cheap; Start() connects
-/// and performs the connect-time resynchronization (lines 2–11 of
-/// Fig 2), redelivering an unprocessed reply if the previous
-/// incarnation crashed between receiving and processing it.
+/// program wrapping a Clerk, and the one session recovery loop in the
+/// client library. Execute() rides out lost messages, queue-manager
+/// restarts and partitions by reconnecting and comparing rids, and
+/// delivers the paper's guarantees: exactly-once request processing,
+/// at-least-once reply processing (exactly-once with a device).
 ///
-/// Execute() submits one request and returns its reply, transparently
-/// riding out lost messages, queue-manager restarts, and partitions by
-/// reconnecting and comparing rids. The guarantees delivered are the
-/// paper's: exactly-once request processing, at-least-once reply
-/// processing (exactly-once with a device).
+/// Execute() is Submit() followed by Poll() until the reply arrives.
+/// The phases are public so one thread can keep several clients'
+/// requests in flight (StreamingClient); ClerkPool runs Execute.
 class ReliableClient {
  public:
+  /// What Poll() returns: empty while the reply is outstanding.
+  using PolledReply = std::optional<queue::ReplyEnvelope>;
+
   ReliableClient(ReliableClientOptions options, ReplyProcessor processor);
 
   ReliableClient(const ReliableClient&) = delete;
@@ -59,20 +63,37 @@ class ReliableClient {
 
   /// Sends `request` under a fresh rid and returns the processed
   /// reply. Retries across failures until the reply is obtained or
-  /// recovery attempts are exhausted.
+  /// recovery attempts are exhausted. A request an earlier call left
+  /// in flight (see Poll) is finished first.
   Result<std::string> Execute(const Slice& request);
+
+  /// Execute's first phase: sends `request` under a fresh rid,
+  /// resolving an in-doubt send by reconnecting and comparing rids
+  /// (§2), and returns the rid. One request may be in flight at a time.
+  /// An error ends the request, except as in Poll.
+  Result<std::string> Submit(const Slice& request);
+
+  /// Execute's second phase, one step: at most one Receive (bounded by
+  /// the clerk's receive timeout) or the recovery its failure calls
+  /// for. Returns the reply once it arrived and was processed, which
+  /// ends the request, as does a permanent error. A transient one
+  /// (Unavailable, TimedOut: a budget ran out, a reconnect failed)
+  /// ends it only if a reconnect proved the system never got it;
+  /// otherwise the next Poll resumes it with fresh budgets.
+  Result<PolledReply> Poll();
+
+  /// True from Submit until the request ends.
+  bool in_flight() const { return !rid_.empty(); }
 
   /// Cancels the in-flight request, if any (§7).
   Result<bool> CancelInFlight();
 
   Status Stop();
 
-  /// Reconnects the clerk now (bounded attempts, like any recovery
-  /// reconnect) and returns the connect-time resynchronization result
-  /// — without receiving or processing a pending reply. For callers
-  /// driving the clerk directly (a pipelined pool) that resolve the
-  /// recovered rids themselves; Execute()'s own recovery never needs
-  /// this.
+  /// Reconnects the clerk now (bounded attempts) and returns the
+  /// connect-time resynchronization result, without receiving or
+  /// processing a pending reply: for callers driving the clerk
+  /// directly (a pipelined pool) that resolve the recovered rids.
   Result<ConnectResult> Resynchronize();
 
   /// Number of requests successfully completed by this incarnation.
@@ -92,20 +113,25 @@ class ReliableClient {
   std::string MakeRid();
   static uint64_t ParseSeq(const std::string& rid);
   std::string DeviceState() const;
-  Status ProcessReply(const std::string& reply, bool maybe_duplicate);
-  // The receive loop shared by Execute and the Start-time resync:
-  // polls for the reply to `rid`, riding out connectivity loss via
-  // reconnect + Rereceive. Processes the reply before returning it.
-  // `ckpt_hint` is the last Connect's ckpt (used by the device check
-  // when the session resumed in Reply-Recvd).
-  Result<std::string> AwaitReply(const std::string& rid,
-                                 const std::string& ckpt_hint = "");
-  // Unwraps a reply envelope and verifies Request-Reply Matching.
-  Result<queue::ReplyEnvelope> DecodeAndCheck(const std::string& raw,
-                                              const std::string& rid);
-  // Reconnects and resolves the fate of rid `rid` (Fig 2's branches);
-  // on success the session is in a state where the caller can proceed.
+  // Reconnects (bounded attempts with backoff) and reports what the
+  // system remembers for this client.
   Status Reconnect(ConnectResult* result);
+  // Applies Poll's rule after the request in flight failed with `s`:
+  // ends it or resets its budgets. Returns `s`.
+  Status Settle(const Status& s);
+  // Sends the request in flight until the system holds it, then arms
+  // a fresh receive loop.
+  Status SendInFlight();
+  // Arms a fresh receive loop; `ckpt` as in resume_ckpt_.
+  void BeginReceive(const std::string& ckpt);
+  // One iteration of the receive loop, for Poll.
+  Result<PolledReply> Step();
+  // Ends the request in flight with its reply: verifies Request-Reply
+  // Matching and processes it, unless a `reread` one provably was.
+  Result<PolledReply> Finish(const std::string& raw, bool reread);
+  // Reconnects and asks the system what it saw for the request in
+  // flight; resends it if it never arrived (a lost one-way send).
+  Status Recover();
 
   ReliableClientOptions options_;
   ReplyProcessor processor_;
@@ -115,6 +141,22 @@ class ReliableClient {
   uint64_t redeliveries_ = 0;
   uint64_t reconnects_ = 0;
   bool started_ = false;
+
+  // The request in flight ("" rid: none) and its receive loop's state.
+  std::string rid_;
+  std::string wire_;  // Its encoded envelope, kept for a resend.
+  // The ckpt the most recent Connect reported, for the device's "was
+  // it already processed?" comparison.
+  std::string resume_ckpt_;
+  // True only when a Connect proved the dequeue for *this* rid
+  // committed (r_rid == rid); a raw Reply-Recvd clerk state can refer
+  // to the previous request after a mid-await reconnect.
+  bool resumed_with_reply_ = false;
+  // Timeouts (server still working), recoveries (connectivity lost)
+  // and sends (one-way messages lost) spend separate budgets.
+  int polls_ = 0;
+  int recoveries_ = 0;
+  int sends_ = 0;
 };
 
 }  // namespace rrq::client

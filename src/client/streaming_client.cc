@@ -1,231 +1,76 @@
 #include "client/streaming_client.h"
 
-#include <chrono>
-#include <thread>
-
 namespace rrq::client {
 
 StreamingClient::StreamingClient(Options options, StreamProcessor processor)
-    : options_(std::move(options)), processor_(std::move(processor)) {
-  slots_.resize(static_cast<size_t>(options_.window < 1 ? 1 : options_.window));
-}
-
-std::string StreamingClient::SlotRegistrant(int slot) const {
-  return options_.client_id + "/s" + std::to_string(slot);
-}
-
-std::string StreamingClient::SlotReplyQueue(int slot) const {
-  return options_.reply_queue_prefix + std::to_string(slot);
-}
-
-Status StreamingClient::ConnectSlot(int s) {
-  ClerkOptions clerk_options;
-  clerk_options.client_id = SlotRegistrant(s);
-  clerk_options.request_queue = options_.request_queue;
-  clerk_options.reply_queue = SlotReplyQueue(s);
-  clerk_options.api = options_.api;
-  clerk_options.receive_timeout_micros = options_.receive_timeout_micros;
-
-  Slot& slot = slots_[static_cast<size_t>(s)];
-  ConnectResult cr;
-  Status last = Status::Unavailable("no connect attempts");
-  bool connected = false;
-  for (int attempt = 0;
-       !connected && attempt < options_.max_recovery_attempts; ++attempt) {
-    slot.clerk = std::make_unique<Clerk>(clerk_options);
-    auto r = slot.clerk->Connect();
-    if (r.ok()) {
-      cr = *r;
-      connected = true;
-      break;
-    }
-    last = r.status();
-    if (!last.IsUnavailable() && !last.IsTimedOut()) return last;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1 + attempt));
+    : processor_(std::move(processor)) {
+  const int window = options.window < 1 ? 1 : options.window;
+  for (int s = 0; s < window; ++s) {
+    ReliableClientOptions rc;
+    rc.clerk.client_id = options.client_id + "/s" + std::to_string(s);
+    rc.clerk.request_queue = options.request_queue;
+    rc.clerk.reply_queue = options.reply_queue_prefix + std::to_string(s);
+    rc.clerk.api = options.api;
+    rc.clerk.receive_timeout_micros = options.receive_timeout_micros;
+    rc.max_recovery_attempts = options.max_recovery_attempts;
+    slots_.push_back(std::make_unique<ReliableClient>(
+        std::move(rc), [this](const queue::ReplyEnvelope& reply, bool) {
+          if (processor_ == nullptr) return Status::OK();
+          return processor_(reply.rid, reply.body, reply.success);
+        }));
   }
-  if (!connected) return last;
-
-  // Advance the shared sequence past anything this slot recovered.
-  const size_t pos = cr.s_rid.rfind('#');
-  if (pos != std::string::npos) {
-    const uint64_t seq = strtoull(cr.s_rid.c_str() + pos + 1, nullptr, 10);
-    if (seq >= next_seq_) next_seq_ = seq + 1;
-  }
-
-  switch (cr.resumed_state) {
-    case SessionState::kReqSent:
-      // A request from a previous incarnation (or this one, before a
-      // reconnect) is still outstanding on this slot.
-      slot.awaiting = true;
-      slot.rid = cr.s_rid;
-      break;
-    case SessionState::kReplyRecvd: {
-      // The dequeue committed, but this incarnation cannot prove the
-      // contents were processed — reread the retained copy (§3
-      // Rereceive) and process it (at-least-once; duplicates are the
-      // model's contract when no testable device is attached).
-      Result<std::string> reread = Status::Unavailable("pending");
-      for (int attempt = 0;
-           !reread.ok() && attempt < options_.max_recovery_attempts;
-           ++attempt) {
-        reread = slot.clerk->Rereceive();
-        if (!reread.ok() && !reread.status().IsUnavailable()) {
-          return reread.status();
-        }
-      }
-      RRQ_ASSIGN_OR_RETURN(std::string raw, std::move(reread));
-      queue::ReplyEnvelope envelope;
-      RRQ_RETURN_IF_ERROR(queue::DecodeReplyEnvelope(raw, &envelope));
-      if (processor_ != nullptr) {
-        RRQ_RETURN_IF_ERROR(
-            processor_(envelope.rid, envelope.body, envelope.success));
-      }
-      ++completed_;
-      if (slot.awaiting) {
-        slot.awaiting = false;
-        --in_flight_;
-      }
-      break;
-    }
-    default:
-      slot.awaiting = false;
-      break;
-  }
-  return Status::OK();
 }
 
 Status StreamingClient::Start() {
-  if (started_) return Status::FailedPrecondition("already started");
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    RRQ_RETURN_IF_ERROR(ConnectSlot(s));
-    if (slots_[static_cast<size_t>(s)].awaiting) ++in_flight_;
-  }
-  started_ = true;
-  // Drain replies recovered as still-outstanding, so the window starts
-  // fully usable.
-  return Drain();
-}
-
-Result<bool> StreamingClient::TryCollect(int s) {
-  Slot& slot = slots_[static_cast<size_t>(s)];
-  if (!slot.awaiting) return false;
-  auto reply = slot.clerk->Receive(Slice());
-  if (reply.ok()) {
-    queue::ReplyEnvelope envelope;
-    RRQ_RETURN_IF_ERROR(queue::DecodeReplyEnvelope(*reply, &envelope));
-    if (envelope.rid != slot.rid) {
-      return Status::Internal("stream slot rid mismatch: expected " +
-                              slot.rid + ", got " + envelope.rid);
-    }
-    if (processor_ != nullptr) {
-      RRQ_RETURN_IF_ERROR(
-          processor_(envelope.rid, envelope.body, envelope.success));
-    }
-    slot.awaiting = false;
-    --in_flight_;
-    ++completed_;
-    return true;
-  }
-  const Status& status = reply.status();
-  if (status.IsTimedOut() || status.IsBusy() || status.IsNotFound()) {
-    return false;  // Not ready yet.
-  }
-  if (status.IsUnavailable() || status.IsNotConnected()) {
-    // Reconnect the slot; ConnectSlot resolves its fate (including the
-    // committed-but-unseen-reply case).
-    const int before = in_flight_;
-    RRQ_RETURN_IF_ERROR(ConnectSlot(s));
-    return in_flight_ < before;
-  }
-  return status;
+  for (auto& slot : slots_) RRQ_RETURN_IF_ERROR(slot->Start());
+  return Status::OK();
 }
 
 Result<int> StreamingClient::Poll() {
-  if (!started_) return Status::FailedPrecondition("not started");
   int finished = 0;
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    RRQ_ASSIGN_OR_RETURN(bool done, TryCollect(s));
-    if (done) ++finished;
+  for (auto& slot : slots_) {
+    if (!slot->in_flight()) continue;
+    RRQ_ASSIGN_OR_RETURN(ReliableClient::PolledReply reply, slot->Poll());
+    if (reply.has_value()) ++finished;
   }
   return finished;
 }
 
 Result<std::string> StreamingClient::Submit(const Slice& body) {
-  if (!started_) return Status::FailedPrecondition("not started");
-  // Find a free slot, polling the window until one opens.
-  int free_slot = -1;
-  for (int attempt = 0; attempt < options_.max_recovery_attempts * 8;
-       ++attempt) {
-    for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-      if (!slots_[static_cast<size_t>(s)].awaiting) {
-        free_slot = s;
-        break;
-      }
+  // Poll the window until a slot opens; each slot's receive budgets
+  // bound the wait.
+  for (;;) {
+    for (auto& slot : slots_) {
+      if (!slot->in_flight()) return slot->Submit(body);
     }
-    if (free_slot >= 0) break;
     RRQ_RETURN_IF_ERROR(Poll().status());
   }
-  if (free_slot < 0) return Status::Unavailable("window never opened");
-
-  Slot& slot = slots_[static_cast<size_t>(free_slot)];
-  const std::string rid =
-      SlotRegistrant(free_slot) + "#" + std::to_string(next_seq_++);
-  queue::RequestEnvelope envelope;
-  envelope.rid = rid;
-  envelope.reply_queue = SlotReplyQueue(free_slot);
-  envelope.body = body.ToString();
-  const std::string wire = queue::EncodeRequestEnvelope(envelope);
-
-  for (int attempt = 0; attempt < options_.max_recovery_attempts; ++attempt) {
-    Status s = slot.clerk->Send(wire, rid);
-    if (s.ok()) {
-      slot.awaiting = true;
-      slot.rid = rid;
-      ++in_flight_;
-      return rid;
-    }
-    if (!s.IsUnavailable() && !s.IsNotConnected()) return s;
-    // In-doubt send: reconnect and compare rids, as in Fig 2.
-    RRQ_RETURN_IF_ERROR(ConnectSlot(free_slot));
-    if (slot.clerk->last_sent_rid() == rid) {
-      slot.awaiting = true;
-      slot.rid = rid;
-      ++in_flight_;
-      return rid;
-    }
-  }
-  return Status::Unavailable("could not submit " + rid);
 }
 
 Status StreamingClient::Drain() {
-  int idle_rounds = 0;
-  while (in_flight_ > 0) {
-    RRQ_ASSIGN_OR_RETURN(int finished, Poll());
-    if (finished == 0) {
-      if (++idle_rounds > options_.max_recovery_attempts * 8) {
-        return Status::Unavailable("drain stalled with " +
-                                   std::to_string(in_flight_) +
-                                   " requests outstanding");
-      }
-    } else {
-      idle_rounds = 0;
-    }
-  }
+  while (in_flight() > 0) RRQ_RETURN_IF_ERROR(Poll().status());
   return Status::OK();
 }
 
 Status StreamingClient::Stop() {
-  if (!started_) return Status::OK();
-  started_ = false;
   Status result = Status::OK();
-  for (Slot& slot : slots_) {
-    if (slot.clerk != nullptr &&
-        slot.clerk->state() != SessionState::kDisconnected) {
-      Status s = slot.clerk->Disconnect();
-      if (!s.ok() && result.ok()) result = s;
-    }
+  for (auto& slot : slots_) {
+    Status s = slot->Stop();
+    if (!s.ok() && result.ok()) result = s;
   }
   return result;
+}
+
+uint64_t StreamingClient::completed() const {
+  uint64_t total = 0;
+  for (const auto& slot : slots_) total += slot->completed();
+  return total;
+}
+
+int StreamingClient::in_flight() const {
+  int total = 0;
+  for (const auto& slot : slots_) total += slot->in_flight() ? 1 : 0;
+  return total;
 }
 
 }  // namespace rrq::client

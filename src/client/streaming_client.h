@@ -6,8 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "client/clerk.h"
-#include "queue/envelope.h"
+#include "client/reliable_client.h"
 #include "queue/queue_api.h"
 #include "util/result.h"
 
@@ -18,14 +17,12 @@ namespace rrq::client {
 /// Mercury system."
 ///
 /// A StreamingClient keeps a window of K requests outstanding at once.
-/// Each window slot is an independent fault-tolerant session — its own
-/// registrant ("<client>/s<slot>"), its own private reply queue, its
-/// own rid sequence — so the §3 one-request-at-a-time discipline holds
-/// *per slot* and every guarantee (exactly-once processing,
-/// at-least-once replies, matching) carries over unchanged, while the
-/// client as a whole pipelines K requests deep. This is the same
-/// construction as §5's "concurrency within a client" (client-id plus
-/// thread-id), driven from one thread.
+/// Each window slot is a ReliableClient with its own registrant
+/// ("<client>/s<slot>") and reply queue, so the §3 one-request-at-a-time
+/// discipline and every guarantee hold *per slot* while the client
+/// pipelines K requests deep: §5's "concurrency within a client" driven
+/// from one thread. Submit hands a request to a free slot and Poll
+/// steps the busy ones, so every recovery runs in ReliableClient.
 ///
 /// Single-threaded.
 class StreamingClient {
@@ -52,9 +49,8 @@ class StreamingClient {
   StreamingClient(const StreamingClient&) = delete;
   StreamingClient& operator=(const StreamingClient&) = delete;
 
-  /// Connects every slot and resynchronizes: slots whose previous
-  /// incarnation died with a request in flight collect and process
-  /// that reply before new work is accepted.
+  /// Starts every slot (ReliableClient::Start), so each processes the
+  /// reply its previous incarnation may have left unprocessed.
   Status Start();
 
   /// Submits one request, blocking (by polling for replies) only when
@@ -64,37 +60,20 @@ class StreamingClient {
   /// Collects any replies that have arrived; returns how many finished.
   Result<int> Poll();
 
-  /// Blocks until every outstanding request has finished.
+  /// Blocks until every outstanding request has finished. After an
+  /// error, requests that a transient failure stopped stay in flight
+  /// and a later Poll or Drain resumes them (ReliableClient::Poll).
   Status Drain();
 
   Status Stop();
 
-  uint64_t completed() const { return completed_; }
-  int in_flight() const { return in_flight_; }
+  uint64_t completed() const;
+  int in_flight() const;
   int window() const { return static_cast<int>(slots_.size()); }
 
  private:
-  struct Slot {
-    std::unique_ptr<Clerk> clerk;
-    bool awaiting = false;
-    std::string rid;
-  };
-
-  std::string SlotRegistrant(int slot) const;
-  std::string SlotReplyQueue(int slot) const;
-  // (Re)connects slot `s`; processes a pending recovered reply if the
-  // registration shows one.
-  Status ConnectSlot(int s);
-  // One receive attempt on an awaiting slot; true when it finished.
-  Result<bool> TryCollect(int s);
-
-  Options options_;
   StreamProcessor processor_;
-  std::vector<Slot> slots_;
-  uint64_t next_seq_ = 1;
-  uint64_t completed_ = 0;
-  int in_flight_ = 0;
-  bool started_ = false;
+  std::vector<std::unique_ptr<ReliableClient>> slots_;
 };
 
 }  // namespace rrq::client

@@ -577,14 +577,6 @@ void QueueRepository::ApplyMicroOp(Shard* s, const MicroOp& op,
 // ---------------------------------------------------------------------------
 // Commit plumbing
 
-std::string QueueRepository::MaybeEncodeReplication(
-    const std::vector<MicroOp>& ops) const {
-  if (options_.replication_sink == nullptr || ops.empty()) return "";
-  std::string record;
-  EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
-  return record;
-}
-
 QueueRepository::ReplTicket QueueRepository::AcquireReplTicket(Shard* s)
     REQUIRES(s->mu) {
   MutexLock guard(s->repl_mu);
@@ -724,15 +716,17 @@ Status QueueRepository::StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
   return Status::OK();
 }
 
+Status QueueRepository::SyncCommit(CommitHandoff* h) {
+  if (!h->log || !options_.sync_commits) return Status::OK();
+  h->log = false;  // Synced once; FinishCommit does not sync again.
+  Status sync = h->wal->SyncTo(h->end_offset);
+  if (!sync.ok()) DeliverReplica(h->tickets, "");  // Consume the slot.
+  return sync;
+}
+
 Status QueueRepository::FinishCommit(CommitHandoff h,
                                      bool evaluate_reactions) {
-  if (h.log && options_.sync_commits) {
-    Status sync = h.wal->SyncTo(h.end_offset);
-    if (!sync.ok()) {
-      DeliverReplica(h.tickets, "");  // Consume the slot; nothing to send.
-      return sync;
-    }
-  }
+  RRQ_RETURN_IF_ERROR(SyncCommit(&h));
   // Replication delivery runs before waiter wakeup: under a sink that
   // blocks until the backup holds the record, a blocked dequeuer must
   // not be woken into the commit's effects early, or it could act on
@@ -910,20 +904,24 @@ Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
                                    std::string record,
                                    bool evaluate_reactions) {
   if (ops.empty()) return Status::OK();
-  // Encode the record outside the shard locks — only the WAL append and
-  // the in-memory apply need it. The eid watermark in the record is
-  // safe to read here because every eid in `ops` was allocated before
-  // this call. The replication sink reuses the same bytes.
-  if (record.empty() && (options_.env != nullptr ||
-                         options_.replication_sink != nullptr)) {
+  const size_t first = ShardIndexOf(ops[0].queue);
+  const bool spanning =
+      std::any_of(ops.begin(), ops.end(), [this, first](const MicroOp& op) {
+        return ShardIndexOf(op.queue) != first;
+      });
+  // Encode the record outside the shard locks, and only when something
+  // reads it: a single-shard commit logs it when the repository is
+  // durable, a spanning one logs per-shard prepare records instead, and
+  // the replication sink ships it either way. The eid watermark in the
+  // record is safe to read here because every eid in `ops` was
+  // allocated before this call.
+  if (record.empty() && (options_.replication_sink != nullptr ||
+                         (!spanning && options_.env != nullptr))) {
     EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
   }
-  const size_t first = ShardIndexOf(ops[0].queue);
-  for (const MicroOp& op : ops) {
-    if (ShardIndexOf(op.queue) != first) {
-      return CommitSpanning(std::move(ops), std::move(record),
-                            evaluate_reactions);
-    }
+  if (spanning) {
+    return CommitSpanning(std::move(ops), std::move(record),
+                          evaluate_reactions);
   }
   return CommitOnShard(shards_[first].get(), std::move(ops), std::move(record),
                        evaluate_reactions);
@@ -1121,30 +1119,31 @@ void QueueRepository::Shard::AbortTxn(txn::TxnId id) {
     }
   }
 
-  std::vector<std::string> notify;
-  for (const LockedRef& ref : pt.locked) notify.push_back(ref.queue);
-  const bool log = !side_effects.empty() && NeedsLogging(side_effects);
-  uint64_t end_offset = 0;
-  std::shared_ptr<wal::LogWriter> w;
-  if (log) {
-    w = wal;
-    std::string record;
-    r->EncodeRecord(kRecCommitted, txn::kInvalidTxnId, side_effects, &record);
-    Status s = w->AddRecord(record, &end_offset);
-    if (!s.ok()) {
-      RRQ_LOG(kError) << r->name_ << ": abort side-effect logging failed: "
-                      << s.ToString();
+  // The side effects auto-commit through the one commit tail; a failed
+  // append applies none of them, so memory never runs ahead of the log.
+  // A commit that fails before it is published wakes nobody, but the
+  // released elements are back either way, so their queues are woken
+  // here.
+  std::vector<std::string> released;
+  for (const LockedRef& ref : pt.locked) released.push_back(ref.queue);
+  CommitHandoff h;
+  h.notify = released;
+  Status committed =
+      r->StageCommitLocked(this, std::move(side_effects), "", &h);
+  lock.Unlock();
+  if (committed.ok()) committed = r->SyncCommit(&h);
+  if (!committed.ok()) {
+    RRQ_LOG(kError) << r->name_ << ": abort side effects failed: "
+                    << committed.ToString();
+    r->NotifyWaiters(released);
+    r->EvaluateReactions(released);
+  } else {
+    Status rs = r->FinishCommit(std::move(h), /*evaluate_reactions=*/true);
+    if (!rs.ok()) {
+      RRQ_LOG(kError) << r->name_ << ": abort side effects not replicated: "
+                      << rs.ToString();
     }
   }
-  for (const MicroOp& op : side_effects) r->ApplyMicroOp(this, op, &notify);
-  const std::string replica = r->MaybeEncodeReplication(side_effects);
-  std::vector<ReplTicket> tickets;
-  if (!replica.empty()) tickets.push_back(r->AcquireReplTicket(this));
-  lock.Unlock();
-  if (log && r->options_.sync_commits) w->SyncTo(end_offset);
-  r->DeliverReplica(tickets, replica);
-  r->NotifyWaiters(notify);
-  r->EvaluateReactions(notify);
   if (!spanning_effects.empty()) {
     Status s = r->AutoCommit(std::move(spanning_effects));
     if (!s.ok()) {

@@ -457,14 +457,18 @@ class QueueRepository final : public txn::ResourceManager {
   // the ops, reserves the replication ticket. `record` as in
   // AutoCommit, or a 2PC commit marker, which logs no ops. The caller
   // releases the lock and passes `out` to FinishCommit. On error
-  // nothing was applied and `out` needs no cleanup. The dequeue, kill
-  // and transaction-commit paths call this directly so
+  // nothing was applied and `out` needs no cleanup. The dequeue, kill,
+  // transaction-commit and abort paths call this directly so
   // decide-and-commit stays atomic under the lock.
   Status StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
                            std::string record, CommitHandoff* out);
   // Second half: syncs the WAL, wakes waiters, delivers replication in
   // ticket order, fires reactions. Call with no shard locks held.
   Status FinishCommit(CommitHandoff h, bool evaluate_reactions);
+  // FinishCommit's sync, for a caller that must know whether the
+  // commit failed before it woke anyone: after a failure it consumed
+  // the replication tickets, and `h` must not be finished.
+  Status SyncCommit(CommitHandoff* h);
   // Cross-shard auto-commit: prepares on every involved shard WAL
   // under an internal txn id, then commits everywhere with one
   // coordinator sync. Recovery resolves leftover prepares against the
@@ -496,8 +500,6 @@ class QueueRepository final : public txn::ResourceManager {
   // without shard locks, after the commit's replication delivery, so a
   // trigger's own replication can't overtake the record that fired it.
   void EvaluateReactions(const std::vector<std::string>& notify_queues);
-  // Encodes `ops` for the replication sink (empty when none).
-  std::string MaybeEncodeReplication(const std::vector<MicroOp>& ops) const;
   // Reserves the next delivery slot on `s` (its lock must be held, so
   // ticket order == apply order).
   ReplTicket AcquireReplTicket(Shard* s);

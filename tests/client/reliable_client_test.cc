@@ -67,10 +67,11 @@ TEST_F(ReliableClientTest, ExecuteWrapsEnvelopeAndUnwrapsReply) {
 
 TEST_F(ReliableClientTest, FailureReplySurfacesAsAborted) {
   int processed = 0;
-  ReliableClient client(Options(), [&processed](const std::string&, bool) {
-    ++processed;
-    return Status::OK();
-  });
+  ReliableClient client(Options(),
+                        [&processed](const queue::ReplyEnvelope&, bool) {
+                          ++processed;
+                          return Status::OK();
+                        });
   ASSERT_TRUE(client.Start().ok());
   std::thread server([this]() { ServeOne(/*success=*/false); });
   auto reply = client.Execute("doomed");
@@ -118,7 +119,7 @@ TEST_F(ReliableClientTest, ExecuteBeforeStartRejected) {
 }
 
 TEST_F(ReliableClientTest, ProcessorErrorPropagates) {
-  ReliableClient client(Options(), [](const std::string&, bool) {
+  ReliableClient client(Options(), [](const queue::ReplyEnvelope&, bool) {
     return Status::Internal("display exploded");
   });
   ASSERT_TRUE(client.Start().ok());
@@ -126,6 +127,35 @@ TEST_F(ReliableClientTest, ProcessorErrorPropagates) {
   auto reply = client.Execute("x");
   server.join();
   EXPECT_TRUE(reply.status().IsInternal());
+}
+
+TEST_F(ReliableClientTest, ExecuteResumesRequestLeftInFlightBySlowServer) {
+  ReliableClientOptions options = Options("slow");
+  options.clerk.receive_timeout_micros = 1'000;
+  options.max_poll_attempts = 3;
+  std::vector<std::string> processed;
+  ReliableClient client(options, [&](const queue::ReplyEnvelope& reply, bool) {
+    processed.push_back(reply.rid + "=" + reply.body);
+    return Status::OK();
+  });
+  ASSERT_TRUE(client.Start().ok());
+  // No server: the poll budget runs out, but the request stays in
+  // flight rather than wedging the session in Req-Sent.
+  EXPECT_TRUE(client.Execute("first").status().IsUnavailable());
+  EXPECT_TRUE(client.in_flight());
+  // The next Execute finishes the first request, then runs its own.
+  std::thread server([this]() {
+    ServeOne();
+    ServeOne();
+  });
+  auto reply = client.Execute("second");
+  server.join();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, "ok:second");
+  EXPECT_EQ(processed,
+            (std::vector<std::string>{"slow#1=ok:first", "slow#2=ok:second"}));
+  EXPECT_EQ(client.completed(), 2u);
+  EXPECT_FALSE(client.in_flight());
 }
 
 TEST_F(ReliableClientTest, CancelInFlightThroughClient) {

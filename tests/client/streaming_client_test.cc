@@ -143,11 +143,13 @@ TEST_F(StreamingClientTest, SurvivesLossyNetwork) {
       2);
   ASSERT_TRUE(server->Start().ok());
 
-  std::set<std::string> seen;
+  // Counted, not collected in a set: a set would hide a reply
+  // processed twice within one incarnation.
+  std::map<std::string, int> processed;
   auto stream = system->MakeStreamingClient(
       "lossy-stream", 4,
-      [&seen](const std::string& rid, const std::string&, bool) {
-        seen.insert(rid);
+      [&processed](const std::string& rid, const std::string&, bool) {
+        ++processed[rid];
         return Status::OK();
       });
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
@@ -159,8 +161,80 @@ TEST_F(StreamingClientTest, SurvivesLossyNetwork) {
   }
   ASSERT_TRUE((*stream)->Drain().ok());
   for (const std::string& rid : submitted) {
-    EXPECT_TRUE(seen.count(rid) == 1) << "no reply processed for " << rid;
+    EXPECT_EQ(processed[rid], 1) << "reply processed wrongly often: " << rid;
   }
+  EXPECT_EQ(processed.size(), submitted.size());
+  EXPECT_EQ((*stream)->completed(), 20u);
+  server->Stop();
+}
+
+// Runs `window` requests against a system that cannot answer them
+// for longer than every slot's budgets, then lets it answer: Drain
+// fails while it cannot, then processes every reply exactly once, and
+// the window is usable again.
+void ExpectWindowOutlastsOutage(core::RequestSystem* system,
+                                const std::function<void()>& outage,
+                                const std::function<void()>& restore) {
+  std::map<std::string, int> processed;
+  auto stream = system->MakeStreamingClient(
+      "outlast", 2,
+      [&](const std::string& rid, const std::string&, bool success) {
+        ++processed[rid];
+        EXPECT_TRUE(success);
+        return Status::OK();
+      });
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  outage();
+  // A send lost to the outage fails Submit but leaves the request in
+  // flight, in doubt, so each of these may or may not report an error.
+  for (int i = 0; i < 2; ++i) (*stream)->Submit("during");
+  EXPECT_FALSE((*stream)->Drain().ok());
+  EXPECT_FALSE((*stream)->Drain().ok());
+  EXPECT_EQ((*stream)->in_flight(), 2);
+  restore();
+  ASSERT_TRUE((*stream)->Drain().ok());
+  EXPECT_EQ((*stream)->completed(), 2u);
+  auto late = (*stream)->Submit("after");
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  ASSERT_TRUE((*stream)->Drain().ok());
+  EXPECT_EQ((*stream)->completed(), 3u);
+  EXPECT_EQ(processed.size(), 3u);
+  EXPECT_EQ(processed.count(*late), 1u);
+  for (const auto& [rid, times] : processed) {
+    EXPECT_EQ(times, 1) << "reply processed wrongly often: " << rid;
+  }
+  ASSERT_TRUE((*stream)->Stop().ok());
+}
+
+TEST(StreamingClientOutageTest, ResumesRequestsAfterSlowServer) {
+  core::SystemOptions options;
+  options.receive_timeout_micros = 1'000;  // 200 polls: a 0.2 s budget.
+  core::RequestSystem system(options);
+  ASSERT_TRUE(system.Open().ok());
+  auto server = system.MakeServer(
+      [](txn::Transaction*, const queue::RequestEnvelope& request)
+          -> Result<std::string> { return "ok:" + request.body; },
+      1);
+  ExpectWindowOutlastsOutage(
+      &system, [] {}, [&] { ASSERT_TRUE(server->Start().ok()); });
+  server->Stop();
+}
+
+TEST(StreamingClientOutageTest, ResumesRequestsAfterPartition) {
+  core::SystemOptions options;
+  options.remote_clients = true;
+  options.receive_timeout_micros = 1'000;
+  core::RequestSystem system(options);
+  ASSERT_TRUE(system.Open().ok());
+  auto server = system.MakeServer(
+      [](txn::Transaction*, const queue::RequestEnvelope& request)
+          -> Result<std::string> { return "ok:" + request.body; },
+      1);
+  ASSERT_TRUE(server->Start().ok());
+  const char* qm = core::RequestSystem::kQueueServiceName;
+  ExpectWindowOutlastsOutage(
+      &system, [&] { system.network()->Partition("clients", qm); },
+      [&] { system.network()->Heal("clients", qm); });
   server->Stop();
 }
 

@@ -151,7 +151,7 @@ TEST(ExactlyOnceTest, ClientCrashAfterSendStillGetsReplyOnce) {
   client::ReliableClientOptions options;
   options.clerk = system.MakeClerkOptions("phoenix");
   client::ReliableClient reborn(options,
-                                [&](const std::string&, bool) {
+                                [&](const queue::ReplyEnvelope&, bool) {
                                   ++processed;
                                   checker.RecordReplyProcessed("phoenix#1");
                                   return Status::OK();
@@ -191,11 +191,11 @@ TEST(ExactlyOnceTest, ClientCrashAfterReceiveReprocessesReply) {
     Status s = system.repo()->CreateQueue(
         RequestSystem::ReplyQueueName("lazarus"));
     ASSERT_TRUE(s.ok() || s.IsAlreadyExists());
-    client::ReliableClient first(options, [&processed](const std::string&,
-                                                       bool) {
-      ++processed;
-      return Status::OK();
-    });
+    client::ReliableClient first(
+        options, [&processed](const queue::ReplyEnvelope&, bool) {
+          ++processed;
+          return Status::OK();
+        });
     ASSERT_TRUE(first.Start().ok());
     ASSERT_TRUE(first.Execute("job").ok());
     EXPECT_EQ(processed, 1);
@@ -205,12 +205,13 @@ TEST(ExactlyOnceTest, ClientCrashAfterReceiveReprocessesReply) {
 
   client::ReliableClientOptions options;
   options.clerk = system.MakeClerkOptions("lazarus");
-  client::ReliableClient reborn(options, [&processed](const std::string&,
-                                                      bool maybe_duplicate) {
-    ++processed;
-    EXPECT_TRUE(maybe_duplicate);  // The client knows it may be a repeat.
-    return Status::OK();
-  });
+  client::ReliableClient reborn(
+      options,
+      [&processed](const queue::ReplyEnvelope&, bool maybe_duplicate) {
+        ++processed;
+        EXPECT_TRUE(maybe_duplicate);  // The client knows it may be a repeat.
+        return Status::OK();
+      });
   ASSERT_TRUE(reborn.Start().ok());
   server->Stop();
   // Reply processed at least once — here, twice (no testable device).

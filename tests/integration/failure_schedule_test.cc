@@ -99,7 +99,7 @@ TEST_P(FailureScheduleTest, GuaranteesHoldUnderMessageLossAndClientCrashes) {
 
   // The client is crashed (destroyed) and reborn at random points;
   // rids continue across incarnations thanks to tag recovery.
-  auto reply_processor = [&checker](const std::string&, bool) {
+  auto reply_processor = [&checker](const queue::ReplyEnvelope&, bool) {
     return Status::OK();
   };
   auto client = system.MakeClient("mortal", reply_processor);

@@ -94,8 +94,9 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
   client_options.max_recovery_attempts = 64;
   client::ReliableClient client(
       client_options,
-      [&checker, &submitted](const std::string& reply, bool /*maybe_dup*/) {
-        const std::string rid = ParseRidFromReply(reply);
+      [&checker, &submitted](const queue::ReplyEnvelope& reply,
+                             bool /*maybe_dup*/) {
+        const std::string rid = ParseRidFromReply(reply.body);
         if (submitted.count(rid) == 0) {
           checker.RecordMismatchedReply(rid);
         } else {

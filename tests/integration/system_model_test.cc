@@ -28,7 +28,7 @@ TEST(SystemModelTest, SingleRequestRoundTrip) {
   int processed = 0;
   auto client = system.MakeClient(
       "alice",
-      [&processed](const std::string&, bool) {
+      [&processed](const queue::ReplyEnvelope&, bool) {
         ++processed;
         return Status::OK();
       });

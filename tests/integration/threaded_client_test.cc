@@ -91,12 +91,12 @@ TEST(ThreadedClientTest, OneThreadCrashDoesNotDisturbSiblings) {
   int processed = 0;
   client::ReliableClientOptions options;
   options.clerk = system.MakeClerkOptions("c/thread-0");
-  client::ReliableClient reborn(options,
-                                [&processed](const std::string& reply, bool) {
-                                  ++processed;
-                                  EXPECT_EQ(reply, "r:orphaned");
-                                  return Status::OK();
-                                });
+  client::ReliableClient reborn(
+      options, [&processed](const queue::ReplyEnvelope& reply, bool) {
+        ++processed;
+        EXPECT_EQ(reply.body, "r:orphaned");
+        return Status::OK();
+      });
   ASSERT_TRUE(reborn.Start().ok());
   EXPECT_EQ(processed, 1);
   server->Stop();

@@ -752,6 +752,42 @@ TEST_F(QueueRepositoryTest, FailedRetirementIsCountedNotFatal) {
   EXPECT_EQ(reopened.remove_failure_count(), 0u);
 }
 
+// Abort side effects auto-commit through the ordinary commit tail: a
+// failed append applies none of them, so the abort count in memory is
+// the one a reopen recovers from the log.
+TEST_F(QueueRepositoryTest, FailedAbortLogLeavesMemoryMatchingLog) {
+  env::FaultConfig faults;
+  faults.write_failure_one_in = 1;  // Every append fails while enabled.
+  env::FaultyEnv flaky(&env_, faults);
+  flaky.SetFaultsSuppressed(true);
+  RepositoryOptions options;
+  options.env = &flaky;
+  options.dir = "/abort-qm";
+  options.shards = 1;
+  ElementId eid = kInvalidElementId;
+  uint32_t in_memory = 0;
+  {
+    QueueRepository repo("abort-qm", options);
+    ASSERT_TRUE(repo.Open().ok());
+    ASSERT_TRUE(repo.CreateQueue("q").ok());
+    eid = *repo.Enqueue(nullptr, "q", "x");
+    auto txn = txn_mgr_->Begin();
+    ASSERT_TRUE(repo.Dequeue(txn.get(), "q").ok());
+    flaky.SetFaultsSuppressed(false);
+    txn->Abort();  // The side-effect record's append fails.
+    flaky.SetFaultsSuppressed(true);
+    EXPECT_GE(flaky.injected_fault_count(), 1u);
+    auto element = repo.Read("q", eid);
+    ASSERT_TRUE(element.ok()) << element.status().ToString();
+    in_memory = element->abort_count;
+  }
+  QueueRepository reopened("abort-qm", options);
+  ASSERT_TRUE(reopened.Open().ok());
+  auto element = reopened.Read("q", eid);
+  ASSERT_TRUE(element.ok()) << element.status().ToString();
+  EXPECT_EQ(element->abort_count, in_memory);
+}
+
 TEST_F(QueueRepositoryTest, CorruptRegistrationTypeFailsOpen) {
   ASSERT_TRUE(repo_->Register("q", "REGCORRUPT", true).ok());
   ASSERT_TRUE(repo_->Enqueue(nullptr, "q", "pay", 0, "REGCORRUPT", "t1").ok());
