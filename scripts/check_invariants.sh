@@ -27,6 +27,13 @@
 #     src/client/reliable_client.cc, the paper's Fig 2 loop that every
 #     multi-request client (ClerkPool, StreamingClient) runs. src/testing/ is
 #     exempt: the crash-sweep harness drives a bare clerk on purpose.
+#  6. One cross-shard commit protocol (DESIGN.md §9): in src/queue/,
+#     only QueueRepository::BufferTxnOps enlists a participant (the
+#     repository itself, once per transaction), a prepare record is
+#     written only by Shard::Prepare (re-logged by Checkpoint, read by
+#     RecoverShard), and Shard::Prepare is called only by CommitAcross
+#     (the one spanning commit) and the facade's Prepare (an outside
+#     coordinator's 2PC).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +101,34 @@ hits=$(grep -rnE '(->|\.)(Co[n]nect\(\)|Re[r]eceive\()' \
   | grep -vE '^src/(client/reliable_client\.cc:|testing/)' || true)
 if [[ -n "$hits" ]]; then
   violation "clerk Connect()/Rereceive() call outside src/client/reliable_client.cc (the one session recovery loop, DESIGN.md §10)" "$hits"
+fi
+
+# --- 6. One cross-shard commit protocol ----------------------------
+# Prints "<function> <file>:<line>: <text>" for each src/queue/*.cc line
+# matching $1, where <function> is the last column-0 QueueRepository
+# definition above it (empty before the first).
+in_function() {
+  awk -v pat="$1" '
+    /^[A-Za-z].*QueueRepository::[A-Za-z_:]+\(/ {
+      match($0, /QueueRepository::[A-Za-z_:]+\(/)
+      fn = substr($0, RSTART, RLENGTH - 1)
+    }
+    $0 ~ pat { print fn " " FILENAME ":" FNR ": " $0 }' src/queue/*.cc
+}
+hits=$(in_function '(->|\.)Enlist\(' \
+  | grep -v '^QueueRepository::BufferTxnOps ' || true)
+if [[ -n "$hits" ]]; then
+  violation "Enlist outside QueueRepository::BufferTxnOps in src/queue/ (a transaction enlists the repository once, DESIGN.md §9)" "$hits"
+fi
+hits=$(in_function 'kRecPrepare' | grep -v 'constexpr unsigned char kRecPrepare' \
+  | grep -vE '^QueueRepository::(Shard::Prepare|Checkpoint|RecoverShard) ' || true)
+if [[ -n "$hits" ]]; then
+  violation "prepare record outside Shard::Prepare (one cross-shard commit protocol, DESIGN.md §9)" "$hits"
+fi
+hits=$(in_function '(->|\.)Prepare\(' \
+  | grep -vE '^QueueRepository::(CommitAcross|Prepare) ' || true)
+if [[ -n "$hits" ]]; then
+  violation "Shard::Prepare called outside CommitAcross and the facade's Prepare (one cross-shard commit protocol, DESIGN.md §9)" "$hits"
 fi
 
 # --- Informational: annotation coverage ----------------------------

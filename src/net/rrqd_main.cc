@@ -1,8 +1,8 @@
 // rrqd — the recoverable-request queue daemon.
 //
 // Hosts a durable queue repository (plus a transaction manager and a
-// demo KvStore-backed request server) and serves the queue-service
-// byte protocol over TCP, so clerks in *other processes* run the
+// demo request server over a KvStore hosted on the repository) and
+// serves the queue-service byte protocol over TCP, so clerks in *other processes* run the
 // paper's client protocol against a queue manager that really can be
 // killed and restarted out from under them. All state lives under
 // --dir; a restart with the same --dir recovers it from the WALs.
@@ -25,7 +25,9 @@
 // a per-rid execution counter in the KvStore and replies
 // "done:<rid>:<count>" — so a post-mortem inspection of the store
 // reveals exactly how many times each request executed, which is what
-// the cross-process exactly-once test verifies.
+// the cross-process exactly-once test verifies. The store has no files
+// of its own: its writes ride the queue log (server::ExecBackend), so
+// a server transaction forces once per queue shard it touches.
 //
 // Replication: "--role primary --replicate-to H:P" ships every
 // committed record to the backup daemon's replication listener at
@@ -62,9 +64,8 @@
 #include "repl/replica_applier.h"
 #include "repl/replication_log.h"
 #include "repl/replication_sender.h"
+#include "server/exec_backend.h"
 #include "server/server.h"
-#include "storage/kv_store.h"
-#include "txn/txn_manager.h"
 #include "util/random.h"
 #include "util/thread_annotations.h"
 
@@ -195,27 +196,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  env::Env* env = env::Env::Default();
-  for (const char* sub : {"", "/txn", "/qm", "/db"}) {
-    Status s = env->CreateDirIfMissing(dir + sub);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rrqd: cannot create %s%s: %s\n", dir.c_str(), sub,
-                   s.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // Durable backend: coordinator, queue repository, and the demo
-  // server's database, all recovering from WALs under --dir.
-  txn::TxnManagerOptions txn_options;
-  txn_options.env = env;
-  txn_options.dir = dir + "/txn";
-  txn::TransactionManager txn_mgr(txn_options);
-  if (Status s = txn_mgr.Open(); !s.ok()) {
-    std::fprintf(stderr, "rrqd: txn manager: %s\n", s.ToString().c_str());
-    return 1;
-  }
-
   // Primary role: every commit's record is appended to the in-memory
   // replication log, which the sender drains to the backup. The sink
   // runs under the repository's per-shard delivery tickets, so log
@@ -226,24 +206,25 @@ int main(int argc, char** argv) {
   std::unique_ptr<repl::ReplicationSender> sender;  // Created below.
   std::unique_ptr<repl::AckGate> ack_gate;          // Ack mode only.
 
+  // Durable back end: coordinator, queue repository, and the demo
+  // server's database hosted on it, all recovering from the WALs
+  // under --dir.
   queue::RepositoryOptions repo_options;
-  repo_options.env = env;
-  repo_options.dir = dir + "/qm";
   repo_options.shards = static_cast<unsigned>(shards);
-  repo_options.in_doubt_resolver = [&txn_mgr](txn::TxnId id) {
-    return txn_mgr.WasCommitted(id);
-  };
   if (is_primary) {
     repo_options.replication_sink = [&repl_log](const Slice& record) {
       repl_log.Append(record.ToString());
       return Status::OK();
     };
   }
-  queue::QueueRepository repo("qm", repo_options);
-  if (Status s = repo.Open(); !s.ok()) {
-    std::fprintf(stderr, "rrqd: repository: %s\n", s.ToString().c_str());
+  server::ExecBackend backend;
+  if (Status s = backend.Open(env::Env::Default(), dir, repo_options);
+      !s.ok()) {
+    std::fprintf(stderr, "rrqd: open %s: %s\n", dir.c_str(),
+                 s.ToString().c_str());
     return 1;
   }
+  queue::QueueRepository& repo = *backend.repo();
   // A backup must stay empty until the primary seeds it (the applier
   // refuses to adopt a stream into a non-empty repository), so its
   // queues are only provisioned at promotion — and usually arrive
@@ -268,25 +249,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  storage::KvStoreOptions db_options;
-  db_options.env = env;
-  db_options.dir = dir + "/db";
-  db_options.in_doubt_resolver = [&txn_mgr](txn::TxnId id) {
-    return txn_mgr.WasCommitted(id);
-  };
-  storage::KvStore db("db", db_options);
-  if (Status s = db.Open(); !s.ok()) {
-    std::fprintf(stderr, "rrqd: kv store: %s\n", s.ToString().c_str());
-    return 1;
-  }
-
   // The demo back end: count executions per rid, transactionally with
   // the dequeue/reply, so every request's execution count is exactly
   // the number of committed server transactions that processed it.
-  // With --audit-queue, each execution also enqueues an audit record
-  // in the same transaction — and since queue state (unlike the
-  // KvStore) is what replication ships, the audit queue is the
-  // durable cross-failover record of what ran.
+  // The count commits in the queue log, so replication ships it and a
+  // promoted backup's database holds the primary's counts. With
+  // --audit-queue each execution also enqueues an audit record in the
+  // same transaction, for failover tests that audit the queue too.
   std::unique_ptr<server::Server> server;
   auto start_server = [&]() -> Status {
     server::ServerOptions server_options;
@@ -294,30 +263,8 @@ int main(int argc, char** argv) {
     server_options.request_queue = request_queue;
     server_options.threads = threads;
     server = std::make_unique<server::Server>(
-        server_options, &repo, &txn_mgr,
-        [&db, &repo, audit_queue](
-            txn::Transaction* t,
-            const queue::RequestEnvelope& request) -> Result<std::string> {
-          const std::string key = "exec/" + request.rid;
-          uint64_t count = 0;
-          auto prior = db.GetForUpdate(t, key);
-          if (prior.ok()) {
-            count = std::strtoull(prior->c_str(), nullptr, 10);
-          } else if (!prior.status().IsNotFound()) {
-            return prior.status();
-          }
-          ++count;
-          RRQ_RETURN_IF_ERROR(db.Put(t, key, std::to_string(count)));
-          const std::string done =
-              "done:" + request.rid + ":" + std::to_string(count);
-          if (!audit_queue.empty()) {
-            auto eid = repo.Enqueue(t, audit_queue,
-                                    Slice("exec:" + request.rid + ":" +
-                                          std::to_string(count)));
-            if (!eid.ok()) return eid.status();
-          }
-          return done;
-        });
+        server_options, &repo, backend.txn_mgr(),
+        backend.Handler(audit_queue));
     return server->Start();
   };
   // A backup's server starts at promotion instead: until then the
@@ -332,8 +279,8 @@ int main(int argc, char** argv) {
   // Backup role: the applier serves the replication protocol on its
   // own listener and client writes are gated off until promotion.
   repl::ReplicaApplierOptions applier_options;
-  applier_options.env = env;
-  applier_options.dir = dir;  // REPL_STREAM beside txn/qm/db.
+  applier_options.env = env::Env::Default();
+  applier_options.dir = dir;  // REPL_STREAM beside txn/ and qm/.
   applier_options.repo = &repo;
   repl::ReplicaApplier applier(applier_options);
   std::unique_ptr<net::TcpServer> repl_server;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <unordered_set>
 
@@ -23,7 +24,7 @@ constexpr int kMaxRedirectHops = 4;
 
 // Internal cross-shard auto-commits (redirected tagged enqueues,
 // cross-shard error-queue moves, replicated records spanning shards)
-// run the prepare/commit protocol under an id drawn from the eid
+// run the cross-shard commit protocol under an id drawn from the eid
 // counter with this bit set. The bit keeps internal ids out of the
 // TransactionManager id space (epoch << 48 | counter never reaches bit
 // 63 until epoch 0x8000) so recovery never consults the in-doubt
@@ -132,16 +133,13 @@ class ShardLockSet {
   ShardLockSet() = default;
   ShardLockSet(const ShardLockSet&) = delete;
   ShardLockSet& operator=(const ShardLockSet&) = delete;
-  ~ShardLockSet() NO_THREAD_SAFETY_ANALYSIS { Unlock(); }
+  ~ShardLockSet() NO_THREAD_SAFETY_ANALYSIS {
+    for (Mutex* mu : mus_) mu->Unlock();
+  }
 
   void Add(Mutex* mu) NO_THREAD_SAFETY_ANALYSIS {
     mu->Lock();
     mus_.push_back(mu);
-  }
-  // Early release (before re-taking any of the same locks).
-  void Unlock() NO_THREAD_SAFETY_ANALYSIS {
-    for (Mutex* mu : mus_) mu->Unlock();
-    mus_.clear();
   }
 
  private:
@@ -155,22 +153,17 @@ class ShardLockSet {
 
 // One shard of the repository: a slice of the queue namespace with its
 // own lock, WAL stream (and therefore its own group-commit leader),
-// pending-transaction table, and triggers. The shard is the
-// ResourceManager transactions enlist: a transaction spanning shards
-// has one participant per shard and the TransactionManager runs real
-// 2PC across them; a single-shard transaction keeps the fused
-// one-phase fast path.
-struct QueueRepository::Shard final : public txn::ResourceManager {
-  Shard(QueueRepository* repo, size_t index)
-      : repo(repo),
-        index(index),
-        rm_label(repo->name_ + "/" + std::to_string(index)) {}
+// pending-transaction table, and triggers. Transactions enlist the
+// repository, not its shards: the facade runs the cross-shard commit
+// (CommitAcross) and fans an outside coordinator's 2PC out to the
+// shards' Prepare/CommitTxn/AbortTxn.
+struct QueueRepository::Shard {
+  Shard(QueueRepository* repo, size_t index) : repo(repo), index(index) {}
 
   QueueRepository* const repo;
   const size_t index;
-  const std::string rm_label;
 
-  // Lock order across shards: ascending shard index (CommitSpanning,
+  // Lock order across shards: ascending shard index (CommitAcross,
   // Checkpoint). repl_mu nests inside mu (AcquireReplTicket) and is
   // never held while taking mu.
   mutable Mutex mu;
@@ -240,17 +233,16 @@ struct QueueRepository::Shard final : public txn::ResourceManager {
     return Status::OK();
   }
 
-  // Stages the commit of transaction `id` (already taken out of
-  // `txns`) through StageCommitLocked; `record` as there.
-  Status StageTxnCommit(txn::TxnId id, PendingTxn pt, std::string record,
-                        CommitHandoff* h) REQUIRES(mu);
+  // Unlocks the elements `pt` still holds for `id` once its ops
+  // applied (its kRemove ops already deleted the dequeued ones).
+  void ReleaseLocked(txn::TxnId id, const PendingTxn& pt) REQUIRES(mu);
 
-  // ---- txn::ResourceManager (bodies below, after the repo helpers) ----
-  std::string_view rm_name() const override { return rm_label; }
-  Status Prepare(txn::TxnId id) override;
-  Status CommitTxn(txn::TxnId id) override;
-  void AbortTxn(txn::TxnId id) override;
-  Status PrepareAndCommit(txn::TxnId id) override;
+  // This shard's part of a two-phase commit (bodies below, after the
+  // repo helpers). Prepare is the one vote: it logs the part as a
+  // durable prepare record, and says through `logged` whether it did.
+  Status Prepare(txn::TxnId id, bool* logged = nullptr);
+  Status CommitTxn(txn::TxnId id);
+  void AbortTxn(txn::TxnId id);
 };
 
 // Per-shard recovery scratch: leftover prepared transactions in WAL
@@ -357,6 +349,10 @@ void QueueRepository::EncodeMicroOp(const MicroOp& op, std::string* out) {
     case MicroOp::kClearTrigger:
       EncodeTrigger(op.trigger, out);
       break;
+    case MicroOp::kRedo:
+      util::PutFixed64(out, op.element.eid);
+      util::PutLengthPrefixed(out, *op.payload);
+      break;
   }
 }
 
@@ -399,6 +395,13 @@ Status QueueRepository::DecodeMicroOp(Slice* input, MicroOp* op) {
     case MicroOp::kSetTrigger:
     case MicroOp::kClearTrigger:
       return DecodeTrigger(input, &op->trigger);
+    case MicroOp::kRedo: {
+      RRQ_RETURN_IF_ERROR(util::GetFixed64(input, &op->element.eid));
+      std::string redo;
+      RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &redo));
+      op->payload = std::make_shared<const std::string>(std::move(redo));
+      return Status::OK();
+    }
   }
   return Status::Corruption("unknown micro-op kind");
 }
@@ -571,7 +574,28 @@ void QueueRepository::ApplyMicroOp(Shard* s, const MicroOp& op,
       if (it != s->triggers.end()) s->triggers.erase(it);
       break;
     }
+    case MicroOp::kRedo: {
+      // Recovery and replication refuse redo when no store is hosted.
+      if (store_ == nullptr) break;
+      Status st = store_->ApplyRedo(op.element.eid, *op.payload);
+      if (!st.ok()) {
+        RRQ_LOG(kError) << name_ << ": hosted store redo failed: "
+                        << st.ToString();
+      }
+      break;
+    }
   }
+}
+
+Status QueueRepository::CheckRedoHosted(const std::vector<MicroOp>& ops) const {
+  if (store_ != nullptr) return Status::OK();
+  for (const MicroOp& op : ops) {
+    if (op.kind == MicroOp::kRedo) {
+      return Status::FailedPrecondition(
+          name_ + ": log carries database redo but no store is hosted");
+    }
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -690,12 +714,13 @@ void QueueRepository::EvaluateReactions(
   }
 }
 
-Status QueueRepository::StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
+Status QueueRepository::StageCommitLocked(Shard* s,
+                                          const std::vector<MicroOp>& ops,
                                           std::string record,
-                                          CommitHandoff* out)
+                                          CommitHandoff* out, bool must_log)
     REQUIRES(s->mu) {
   const bool replicate = options_.replication_sink != nullptr && !ops.empty();
-  out->log = s->NeedsLogging(ops);
+  out->log = must_log ? s->wal != nullptr : s->NeedsLogging(ops);
   if (record.empty() && (out->log || replicate)) {
     EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
   }
@@ -753,151 +778,155 @@ Status QueueRepository::CommitOnShard(Shard* s, std::vector<MicroOp> ops,
   CommitHandoff h;
   {
     MutexLock lock(s->mu);
-    RRQ_RETURN_IF_ERROR(
-        StageCommitLocked(s, std::move(ops), std::move(record), &h));
+    RRQ_RETURN_IF_ERROR(StageCommitLocked(s, ops, std::move(record), &h));
   }
   return FinishCommit(std::move(h), evaluate_reactions);
+}
+
+std::vector<QueueRepository::Shard*> QueueRepository::InvolvedShards(
+    txn::TxnId id) {
+  std::vector<Shard*> involved;
+  for (auto& s : shards_) {
+    if (s->HasTxn(id)) involved.push_back(s.get());
+  }
+  return involved;
+}
+
+void QueueRepository::AttachRedo(txn::TxnId id,
+                                 std::vector<Shard*>* involved) {
+  if (store_ == nullptr) return;
+  std::string redo = store_->TakeRedo(id);
+  if (redo.empty()) return;
+  MicroOp op;
+  op.kind = MicroOp::kRedo;
+  // Drawn while the transaction holds its store locks, so two writers
+  // of one key get stamps in commit order.
+  op.element.eid = next_eid_.fetch_add(1, std::memory_order_relaxed);
+  op.payload = std::make_shared<const std::string>(std::move(redo));
+  if (involved->empty()) involved->push_back(ShardFor(op.queue));
+  Shard* coord = involved->back();
+  MutexLock guard(coord->mu);
+  PendingTxn& pt = coord->txns[id];
+  // Route the op with the shard's own ops, here and on a backup.
+  if (!pt.ops.empty()) op.queue = pt.ops.front().queue;
+  pt.ops.push_back(std::move(op));
 }
 
 // The lock set here is dynamic (every involved shard's mu, ascending),
 // which is beyond the static analysis — the per-shard invariants are
 // still enforced inside the REQUIRES-annotated helpers this calls via
 // the gcc/TSan builds, but this function body itself is unchecked.
-Status QueueRepository::CommitSpanning(std::vector<MicroOp> ops,
-                                       std::string record,
-                                       bool evaluate_reactions)
+Status QueueRepository::CommitAcross(txn::TxnId id,
+                                     std::vector<Shard*> involved,
+                                     std::string record,
+                                     bool evaluate_reactions)
     NO_THREAD_SAFETY_ANALYSIS {
-  const bool replicate = options_.replication_sink != nullptr;
-  // Partition by shard, preserving per-shard op order.
-  std::map<size_t, std::vector<MicroOp>> by_shard;
-  for (MicroOp& op : ops) {
-    by_shard[ShardIndexOf(op.queue)].push_back(std::move(op));
-  }
-  struct Part {
-    Shard* s = nullptr;
-    std::vector<MicroOp> ops;
-    bool log = false;
-    std::shared_ptr<wal::LogWriter> wal;
-    uint64_t end = 0;
+  Shard* const coord = involved.back();
+  const bool spanning = involved.size() > 1;
+  auto abort_all = [&involved, id]() {
+    for (Shard* s : involved) s->AbortTxn(id);
   };
-  std::vector<Part> parts;
-  parts.reserve(by_shard.size());
-  for (auto& [idx, sops] : by_shard) {
-    Part part;
-    part.s = shards_[idx].get();
-    part.ops = std::move(sops);
-    parts.push_back(std::move(part));
-  }
 
-  // The internal commit id. Drawing it from the eid counter guarantees
-  // uniqueness against every id this repository will ever log (the
-  // counter recovers past the WAL watermark); the high bit keeps it
-  // out of the TransactionManager's id space.
-  const txn::TxnId iid =
-      kInternalTxnBit | next_eid_.fetch_add(1, std::memory_order_relaxed);
-
-  auto erase_pending = [&parts, iid]() {
-    for (Part& p : parts) {
-      MutexLock guard(p.s->mu);
-      p.s->txns.erase(iid);
+  // Phase 1: every shard but the coordinator votes with a durable
+  // prepare record of its part.
+  bool must_log = false;
+  for (Shard* s : involved) {
+    if (s == coord) break;
+    bool logged = false;
+    Status vote = s->Prepare(id, &logged);
+    if (!vote.ok()) {
+      abort_all();
+      return vote;
     }
-  };
+    must_log = must_log || logged;
+  }
 
-  // Phase 1: register the pending ops and append a prepare record on
-  // every involved shard, locks held in ascending shard order. The
-  // pending-txn entry makes an interleaved Checkpoint() carry the
-  // prepare into the new WAL generation.
+  // Phase 2, under every involved lock: the coordinator logs the
+  // decision — one committed record carrying the id and its own part —
+  // and applies its part; every other part is marked decided (so a
+  // checkpoint re-logs it as committed); every shard takes its
+  // replication ticket, so deliveries sharing shards stay ordered.
+  CommitHandoff h;
+  std::vector<MicroOp> all;  // Every part, for the one replicated record.
+  const bool gather = spanning && record.empty() &&
+                      options_.replication_sink != nullptr;
+  Status staged;
   {
     ShardLockSet locks;
-    for (Part& p : parts) locks.Add(&p.s->mu);
-    for (Part& p : parts) {
-      PendingTxn& pt = p.s->txns[iid];
-      pt.ops = p.ops;
-      pt.prepared = true;
-      p.log = p.s->NeedsLogging(pt.ops);
-      if (p.log) {
-        std::string prep;
-        EncodeRecord(kRecPrepare, iid, pt.ops, &prep);
-        Status s = p.s->wal->AddRecord(prep, &p.end);
-        if (!s.ok()) {
-          locks.Unlock();
-          erase_pending();
-          return s;
+    for (Shard* s : involved) locks.Add(&s->mu);
+    PendingTxn& pt = coord->txns[id];
+    staged = coord->VetoKilled(pt);
+    if (staged.ok()) {
+      std::string decision;
+      if (spanning) {
+        if (coord->wal != nullptr) {
+          EncodeRecord(kRecCommitted, id, pt.ops, &decision);
         }
-        p.wal = p.s->wal;
-      }
-    }
-  }
-  // Make every prepare durable before any commit record exists: a
-  // recovered shard holding a commit record then implies every sibling
-  // holds (at least) its prepare, so the global committed-id set
-  // resolves the leftovers to COMMIT everywhere.
-  if (options_.sync_commits) {
-    for (Part& p : parts) {
-      if (!p.log) continue;
-      Status s = p.wal->SyncTo(p.end);
-      if (!s.ok()) {
-        erase_pending();
-        return s;  // Nothing applied; replay presumed-aborts the id.
-      }
-    }
-  }
-
-  // Phase 2: under all involved shard locks, append the commit record
-  // to every logging shard, apply, and take replication tickets. Only
-  // the first (coordinator) commit record is synced: any later durable
-  // record on a sibling shard's WAL implies its earlier commit record
-  // is durable too (log durability is prefix-monotone), and if the
-  // sibling's record is lost the global set from the coordinator still
-  // commits the sibling's leftover prepare.
-  std::string commit_rec;
-  EncodeRecord(kRecCommit, iid, {}, &commit_rec);
-  std::vector<std::string> notify;
-  std::vector<ReplTicket> tickets;
-  std::shared_ptr<wal::LogWriter> coord_wal;
-  uint64_t coord_end = 0;
-  Status first_error;  // Keep applying for memory consistency; surface later.
-  {
-    ShardLockSet locks;
-    for (Part& p : parts) locks.Add(&p.s->mu);
-    for (Part& p : parts) {
-      std::vector<MicroOp> sops;
-      auto it = p.s->txns.find(iid);
-      if (it != p.s->txns.end()) {
-        sops = std::move(it->second.ops);
-        p.s->txns.erase(it);
       } else {
-        sops = std::move(p.ops);
+        decision = std::move(record);
       }
-      if (p.log) {
-        // Re-fetch the writer: a checkpoint may have swapped it (the
-        // new generation carries our prepare record).
-        std::shared_ptr<wal::LogWriter> w = p.s->wal;
-        uint64_t end = 0;
-        Status s = w->AddRecord(commit_rec, &end);
-        if (!s.ok() && first_error.ok()) first_error = s;
-        if (s.ok() && coord_wal == nullptr) {
-          coord_wal = std::move(w);
-          coord_end = end;
+      staged = StageCommitLocked(coord, pt.ops, std::move(decision), &h,
+                                 must_log);
+    }
+    if (staged.ok()) {
+      for (Shard* s : involved) {
+        if (s == coord) continue;
+        PendingTxn& part = s->txns[id];
+        part.decided = true;
+        if (gather) all.insert(all.end(), part.ops.begin(), part.ops.end());
+        if (options_.replication_sink != nullptr) {
+          h.tickets.push_back(AcquireReplTicket(s));
         }
       }
-      for (const MicroOp& op : sops) ApplyMicroOp(p.s, op, &notify);
-      if (replicate) tickets.push_back(AcquireReplTicket(p.s));
+      if (gather) all.insert(all.end(), pt.ops.begin(), pt.ops.end());
+      coord->ReleaseLocked(id, pt);
+      coord->txns.erase(id);
     }
   }
-  if (coord_wal != nullptr && options_.sync_commits) {
-    Status s = coord_wal->SyncTo(coord_end);
-    if (!s.ok() && first_error.ok()) first_error = s;
+  if (!staged.ok()) {
+    abort_all();
+    return staged;
   }
-  if (!first_error.ok()) {
-    DeliverReplica(tickets, "");
-    return first_error;
+  if (!spanning) return FinishCommit(std::move(h), evaluate_reactions);
+
+  if (!h.tickets.empty()) {
+    h.record = std::move(record);
+    if (gather) EncodeRecord(kRecCommitted, txn::kInvalidTxnId, all, &h.record);
   }
-  // Delivery precedes wakeup (see FinishCommit).
-  Status rs = DeliverReplica(tickets, record);
-  NotifyWaiters(notify);
-  if (evaluate_reactions) EvaluateReactions(notify);
-  return rs;
+  // The decision is durable before any marker exists: a durable marker
+  // without it would commit one part alone.
+  Status synced = SyncCommit(&h);
+  if (!synced.ok()) {
+    RRQ_LOG(kError) << name_ << ": cross-shard decision " << id
+                    << " not durable, parts left decided: "
+                    << synced.ToString();
+    return synced;
+  }
+
+  // Phase 3: each other shard logs an unsynced commit marker and
+  // applies its part under the same lock, so its WAL holds the marker
+  // before any record that depends on the part.
+  std::string marker;
+  EncodeRecord(kRecCommit, id, {}, &marker);
+  for (Shard* s : involved) {
+    if (s == coord) continue;
+    MutexLock lock(s->mu);
+    auto it = s->txns.find(id);
+    if (it == s->txns.end()) continue;
+    PendingTxn part = std::move(it->second);
+    s->txns.erase(it);
+    if (s->NeedsLogging(part.ops)) {
+      Status logged = s->wal->AddRecord(marker);
+      if (!logged.ok()) {
+        // Recovery still commits the part from the coordinator's record.
+        RRQ_LOG(kError) << name_ << ": commit marker for " << id
+                        << " failed: " << logged.ToString();
+      }
+    }
+    for (const MicroOp& op : part.ops) ApplyMicroOp(s, op, &h.notify);
+    s->ReleaseLocked(id, part);
+  }
+  return FinishCommit(std::move(h), evaluate_reactions);
 }
 
 Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
@@ -911,29 +940,46 @@ Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
       });
   // Encode the record outside the shard locks, and only when something
   // reads it: a single-shard commit logs it when the repository is
-  // durable, a spanning one logs per-shard prepare records instead, and
-  // the replication sink ships it either way. The eid watermark in the
+  // durable, a spanning one logs per-shard parts instead, and the
+  // replication sink ships it either way. The eid watermark in the
   // record is safe to read here because every eid in `ops` was
   // allocated before this call.
   if (record.empty() && (options_.replication_sink != nullptr ||
                          (!spanning && options_.env != nullptr))) {
     EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
   }
-  if (spanning) {
-    return CommitSpanning(std::move(ops), std::move(record),
-                          evaluate_reactions);
+  if (!spanning) {
+    return CommitOnShard(shards_[first].get(), std::move(ops),
+                         std::move(record), evaluate_reactions);
   }
-  return CommitOnShard(shards_[first].get(), std::move(ops), std::move(record),
-                       evaluate_reactions);
+  // The internal commit id. Drawing it from the eid counter guarantees
+  // uniqueness against every id this repository will ever log (the
+  // counter recovers past the WAL watermark); the high bit keeps it
+  // out of the TransactionManager's id space.
+  const txn::TxnId iid =
+      kInternalTxnBit | next_eid_.fetch_add(1, std::memory_order_relaxed);
+  std::map<size_t, std::vector<MicroOp>> by_shard;
+  for (MicroOp& op : ops) {
+    by_shard[ShardIndexOf(op.queue)].push_back(std::move(op));
+  }
+  std::vector<Shard*> involved;
+  for (auto& [idx, part] : by_shard) {
+    Shard* s = shards_[idx].get();
+    MutexLock guard(s->mu);
+    s->txns[iid].ops = std::move(part);
+    involved.push_back(s);
+  }
+  return CommitAcross(iid, std::move(involved), std::move(record),
+                      evaluate_reactions);
 }
 
 void QueueRepository::BufferTxnOps(txn::Transaction* t,
                                    std::vector<MicroOp> ops,
                                    std::vector<LockedRef> locked) {
-  // Partition by shard and enlist each involved shard: the
-  // TransactionManager sees one participant per shard and coordinates
-  // cross-shard commits with its decision log (single-shard
-  // transactions keep the fused one-phase fast path).
+  // Partition by shard, then enlist the repository once: the
+  // TransactionManager sees one participant however many shards the
+  // transaction touches, and the commit crosses shards through
+  // CommitAcross.
   std::map<size_t, std::pair<std::vector<MicroOp>, std::vector<LockedRef>>>
       by_shard;
   for (MicroOp& op : ops) {
@@ -944,20 +990,18 @@ void QueueRepository::BufferTxnOps(txn::Transaction* t,
   }
   for (auto& [idx, part] : by_shard) {
     Shard* s = shards_[idx].get();
-    {
-      MutexLock guard(s->mu);
-      PendingTxn& pt = s->txns[t->id()];
-      for (MicroOp& op : part.first) pt.ops.push_back(std::move(op));
-      for (LockedRef& l : part.second) pt.locked.push_back(std::move(l));
-    }
-    t->Enlist(s);
+    MutexLock guard(s->mu);
+    PendingTxn& pt = s->txns[t->id()];
+    for (MicroOp& op : part.first) pt.ops.push_back(std::move(op));
+    for (LockedRef& l : part.second) pt.locked.push_back(std::move(l));
   }
+  t->Enlist(this);
 }
 
 // ---------------------------------------------------------------------------
 // Shard as a 2PC participant
 
-Status QueueRepository::Shard::Prepare(txn::TxnId id) {
+Status QueueRepository::Shard::Prepare(txn::TxnId id, bool* logged) {
   QueueRepository* r = repo;
   MutexLock lock(mu);
   auto it = txns.find(id);
@@ -979,17 +1023,13 @@ Status QueueRepository::Shard::Prepare(txn::TxnId id) {
   }
   pt.prepared = true;
   lock.Unlock();
+  if (logged != nullptr) *logged = log;
   if (log) return w->SyncTo(end_offset);  // A yes vote must be durable.
   return Status::OK();
 }
 
-Status QueueRepository::Shard::StageTxnCommit(txn::TxnId id, PendingTxn pt,
-                                              std::string record,
-                                              CommitHandoff* h) {
-  RRQ_RETURN_IF_ERROR(
-      repo->StageCommitLocked(this, std::move(pt.ops), std::move(record), h));
-  // Locked elements consumed by kRemove ops are gone; make sure any
-  // still-live ones (defensive) are unlocked.
+void QueueRepository::Shard::ReleaseLocked(txn::TxnId id,
+                                           const PendingTxn& pt) {
   for (const LockedRef& ref : pt.locked) {
     QueueState* qs = Find(ref.queue);
     if (qs == nullptr) continue;
@@ -998,7 +1038,6 @@ Status QueueRepository::Shard::StageTxnCommit(txn::TxnId id, PendingTxn pt,
       eit->second.locked_by = txn::kInvalidTxnId;
     }
   }
-  return Status::OK();
 }
 
 Status QueueRepository::Shard::CommitTxn(txn::TxnId id) {
@@ -1012,27 +1051,14 @@ Status QueueRepository::Shard::CommitTxn(txn::TxnId id) {
     MutexLock lock(mu);
     auto it = txns.find(id);
     if (it == txns.end()) return Status::OK();  // No ops here.
-    PendingTxn pt = std::move(it->second);
-    txns.erase(it);
-    if (!pt.prepared) {
+    if (!it->second.prepared) {
       return Status::Internal("commit of unprepared transaction");
     }
-    RRQ_RETURN_IF_ERROR(StageTxnCommit(id, std::move(pt), std::move(record), &h));
-  }
-  return repo->FinishCommit(std::move(h), /*evaluate_reactions=*/true);
-}
-
-Status QueueRepository::Shard::PrepareAndCommit(txn::TxnId id) {
-  CommitHandoff h;
-  {
-    MutexLock lock(mu);
-    auto it = txns.find(id);
-    if (it == txns.end()) return Status::OK();
-    RRQ_RETURN_IF_ERROR(VetoKilled(it->second));
     PendingTxn pt = std::move(it->second);
     txns.erase(it);
-    // One committed record serves both the WAL and the sink.
-    RRQ_RETURN_IF_ERROR(StageTxnCommit(id, std::move(pt), "", &h));
+    RRQ_RETURN_IF_ERROR(
+        repo->StageCommitLocked(this, pt.ops, std::move(record), &h));
+    ReleaseLocked(id, pt);
   }
   return repo->FinishCommit(std::move(h), /*evaluate_reactions=*/true);
 }
@@ -1042,6 +1068,12 @@ void QueueRepository::Shard::AbortTxn(txn::TxnId id) {
   MutexLock lock(mu);
   auto it = txns.find(id);
   if (it == txns.end()) return;
+  if (it->second.decided) {
+    // Its coordinator logged the commit; only recovery may settle it.
+    RRQ_LOG(kError) << r->name_ << ": abort of decided transaction " << id
+                    << " ignored";
+    return;
+  }
   PendingTxn pt = std::move(it->second);
   txns.erase(it);
 
@@ -1156,40 +1188,33 @@ void QueueRepository::Shard::AbortTxn(txn::TxnId id) {
 // ---------------------------------------------------------------------------
 // Repository facade as a ResourceManager
 
+void QueueRepository::HostStore(txn::HostedStore* store) { store_ = store; }
+
 Status QueueRepository::Prepare(txn::TxnId id) {
-  for (auto& s : shards_) {
-    if (s->HasTxn(id)) RRQ_RETURN_IF_ERROR(s->Prepare(id));
-  }
+  // An outside coordinator's 2PC: every involved shard votes, and the
+  // last one's prepare carries the hosted store's redo.
+  std::vector<Shard*> involved = InvolvedShards(id);
+  AttachRedo(id, &involved);
+  for (Shard* s : involved) RRQ_RETURN_IF_ERROR(s->Prepare(id));
   return Status::OK();
 }
 
 Status QueueRepository::CommitTxn(txn::TxnId id) {
-  for (auto& s : shards_) {
-    if (s->HasTxn(id)) RRQ_RETURN_IF_ERROR(s->CommitTxn(id));
-  }
+  for (Shard* s : InvolvedShards(id)) RRQ_RETURN_IF_ERROR(s->CommitTxn(id));
   return Status::OK();
 }
 
 void QueueRepository::AbortTxn(txn::TxnId id) {
-  for (auto& s : shards_) {
-    if (s->HasTxn(id)) s->AbortTxn(id);
-  }
+  for (Shard* s : InvolvedShards(id)) s->AbortTxn(id);
+  if (store_ != nullptr) store_->DropRedo(id);
 }
 
 Status QueueRepository::PrepareAndCommit(txn::TxnId id) {
-  std::vector<Shard*> involved;
-  for (auto& s : shards_) {
-    if (s->HasTxn(id)) involved.push_back(s.get());
-  }
+  std::vector<Shard*> involved = InvolvedShards(id);
+  AttachRedo(id, &involved);
   if (involved.empty()) return Status::OK();
-  if (involved.size() == 1) return involved[0]->PrepareAndCommit(id);
-  // Spanning one-phase request: run real two-phase internally. Durable
-  // prepares on every shard before the first commit record mean
-  // recovery's global committed-id set resolves a mid-commit crash
-  // atomically.
-  for (Shard* s : involved) RRQ_RETURN_IF_ERROR(s->Prepare(id));
-  for (Shard* s : involved) RRQ_RETURN_IF_ERROR(s->CommitTxn(id));
-  return Status::OK();
+  return CommitAcross(id, std::move(involved), "",
+                      /*evaluate_reactions=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1197,40 +1222,57 @@ Status QueueRepository::PrepareAndCommit(txn::TxnId id) {
 
 Status QueueRepository::ApplyReplicatedRecord(const Slice& record,
                                               uint64_t seq) {
+  if (seq != 0) return ApplyReplicatedBatch({record.ToString()}, seq);
   if (record.empty()) return Status::InvalidArgument("empty record");
   // The record type is always a committed set.
   Record rec;
   RRQ_RETURN_IF_ERROR(DecodeRecord(record, &rec));
+  RRQ_RETURN_IF_ERROR(CheckRedoHosted(rec.ops));
   // Only fully-decoded records mutate state (AdvanceEid included):
   // a truncated or bit-flipped record must leave the backup unchanged.
   AdvanceEid(rec.eid_watermark);
-  std::vector<MicroOp>& ops = rec.ops;
-  if (seq == 0) {
-    // Durable backups log the record verbatim (it is already a valid
-    // committed record carrying the primary's eid watermark); a record
-    // spanning local shards goes through the cross-shard protocol so a
-    // backup crash can't apply it partially. Chained sinks receive the
-    // original bytes either way. Reactions don't fire: the primary's
-    // reactions arrive as ordinary records.
-    return AutoCommit(std::move(ops), record.ToString(),
-                      /*evaluate_reactions=*/false);
+  // Durable backups log the record verbatim (it is already a valid
+  // committed record carrying the primary's eid watermark); a record
+  // spanning local shards goes through the cross-shard protocol so a
+  // backup crash can't apply it partially. Chained sinks receive the
+  // original bytes either way. Reactions don't fire: the primary's
+  // reactions arrive as ordinary records.
+  return AutoCommit(std::move(rec.ops), record.ToString(),
+                    /*evaluate_reactions=*/false);
+}
+
+Status QueueRepository::ApplyReplicatedBatch(
+    const std::vector<std::string>& records, uint64_t first_seq) {
+  if (first_seq == 0) return Status::InvalidArgument("zero record sequence");
+  // Decode everything before applying anything: a truncated or
+  // bit-flipped record must leave the backup unchanged.
+  const uint64_t applied = applied_repl_seq();
+  std::vector<MicroOp> ops;
+  uint64_t eid_watermark = 0;
+  uint64_t last = 0;
+  Record rec;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].empty()) return Status::InvalidArgument("empty record");
+    RRQ_RETURN_IF_ERROR(DecodeRecord(records[i], &rec));
+    RRQ_RETURN_IF_ERROR(CheckRedoHosted(rec.ops));
+    // Duplicate delivery (sender retry after a lost ack, or a restart
+    // resending from an older watermark): already applied.
+    if (first_seq + i <= applied) continue;
+    eid_watermark = std::max(eid_watermark, rec.eid_watermark);
+    std::move(rec.ops.begin(), rec.ops.end(), std::back_inserter(ops));
+    last = first_seq + i;
   }
-  // Duplicate delivery (sender retry after a lost ack, or a restart
-  // resending from an older watermark): already applied, ack again.
-  if (seq <= applied_repl_seq()) return Status::OK();
-  // The watermark advances atomically with the record's effects by
-  // riding in the record as a micro-op, which forces re-encoding (the
-  // logged bytes must contain the marker so recovery replays it). A
-  // watermark-only record (no ops) is the snapshot-end barrier.
+  if (last == 0) return Status::OK();
+  AdvanceEid(eid_watermark);
+  // The watermark advances atomically with the batch's effects by
+  // riding in it as a micro-op, so recovery replays both or neither. A
+  // watermark-only batch (no ops) is the snapshot-end barrier.
   MicroOp marker;
   marker.kind = MicroOp::kSetReplWatermark;
   marker.queue = ops.empty() ? "" : ops[0].queue;
-  marker.element.eid = seq;
+  marker.element.eid = last;
   ops.push_back(std::move(marker));
-  std::string rerecord;
-  EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &rerecord);
-  return AutoCommit(std::move(ops), std::move(rerecord),
-                    /*evaluate_reactions=*/false);
+  return AutoCommit(std::move(ops), "", /*evaluate_reactions=*/false);
 }
 
 Status QueueRepository::CommitReplWatermark(uint64_t seq) {
@@ -1265,7 +1307,21 @@ Status QueueRepository::CaptureReplicaSnapshot(
   }
   if (at_barrier) at_barrier();
   for (auto& shard : shards_) EncodeShardState(*shard, false, records);
+  EncodeStoreState(records);
   return Status::OK();
+}
+
+void QueueRepository::EncodeStoreState(
+    std::vector<std::string>* records) const {
+  if (store_ == nullptr) return;
+  for (std::string& redo : store_->SnapshotRedo()) {
+    // Stamp 0: older than every commit after the cut.
+    MicroOp op;
+    op.kind = MicroOp::kRedo;
+    op.payload = std::make_shared<const std::string>(std::move(redo));
+    records->emplace_back();
+    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, {op}, &records->back());
+  }
 }
 
 void QueueRepository::EncodeShardState(const Shard& s, bool checkpoint,
@@ -1958,13 +2014,18 @@ Status QueueRepository::Open() {
       for (std::thread& th : threads) th.join();
       for (const Status& st : statuses) RRQ_RETURN_IF_ERROR(st);
     }
-    // Resolve leftover prepares. A cross-shard commit writes its commit
-    // record on every involved shard after all prepares are durable, so
-    // the union of commit-record ids decides atomically: either some
-    // shard's commit record survived (commit everywhere) or none did
-    // (abort everywhere). Only external (TransactionManager) ids ever
-    // consult the in-doubt resolver; internal cross-shard ids are
-    // presumed aborted when no commit record survived.
+    // Resolve leftover prepares. A cross-shard commit (CommitAcross)
+    // makes every other part a durable prepare before the coordinator
+    // logs its one committed record carrying the id, and appends the
+    // other shards' commit markers only once that record is durable.
+    // So the union of ids from coordinator records and markers decides
+    // atomically: a surviving decision commits every part, and without
+    // one no part was ever logged as committed (the coordinator's part
+    // lived only in the lost record). A checkpoint cut between the
+    // decision and a marker re-logged that part as committed. Only
+    // external ids consult the in-doubt resolver, which knows the
+    // outside coordinator's 2PC decisions; a one-phase or internal
+    // commit without a surviving decision is presumed aborted.
     std::unordered_set<txn::TxnId> committed;
     for (const ShardRecovery& rec : recs) {
       committed.insert(rec.committed.begin(), rec.committed.end());
@@ -2040,6 +2101,7 @@ Status QueueRepository::LoadShardCheckpoint(Shard* s, uint64_t generation) {
     if (rec.type != kRecCommitted) {
       return Status::Corruption("checkpoint holds a non-committed record");
     }
+    RRQ_RETURN_IF_ERROR(CheckRedoHosted(rec.ops));
     // Shards load in parallel; the counter takes the max slice value.
     AdvanceEid(rec.eid_watermark);
     for (const MicroOp& op : rec.ops) ApplyMicroOp(s, op, nullptr);
@@ -2065,9 +2127,13 @@ Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
   while (reader.ReadRecord(&record, &scratch)) {
     if (record.empty()) continue;
     RRQ_RETURN_IF_ERROR(DecodeRecord(record, &r));
+    RRQ_RETURN_IF_ERROR(CheckRedoHosted(r.ops));
     AdvanceEid(r.eid_watermark);
     const txn::TxnId id = r.id;
     if (r.type == kRecCommitted) {
+      // A cross-shard coordinator's record carries the id: it is the
+      // decision for the other shards' prepares.
+      if (id != txn::kInvalidTxnId) rec->committed.insert(id);
       for (const MicroOp& op : r.ops) ApplyMicroOp(s, op, nullptr);
     } else if (r.type == kRecPrepare) {
       if (rec->prepared.find(id) == rec->prepared.end()) {
@@ -2107,6 +2173,7 @@ Status QueueRepository::Checkpoint() NO_THREAD_SAFETY_ANALYSIS {
     Shard* s = shards_[i].get();
     std::vector<std::string> records;
     EncodeShardState(*s, /*checkpoint=*/true, &records);
+    if (i == 0) EncodeStoreState(&records);
     std::string slice;
     util::PutVarint64(&slice, records.size());
     for (const std::string& r : records) util::PutLengthPrefixed(&slice, r);
@@ -2117,12 +2184,17 @@ Status QueueRepository::Checkpoint() NO_THREAD_SAFETY_ANALYSIS {
     RRQ_RETURN_IF_ERROR(env->NewWritableFile(WalPath(next_gen, i), &file));
     auto new_wal = std::make_shared<wal::LogWriter>(std::move(file), 0,
                                                     options_.group_commit);
-    // Prepared-but-undecided transactions must survive the truncation:
-    // re-log their prepare records into the new WAL.
+    // Prepared transactions must survive the truncation: re-log each
+    // part into the new WAL. A part whose coordinator already logged
+    // the decision goes in as committed, because that decision stays
+    // behind in the retired generation (its effects are in the
+    // coordinator's slice); its marker, when it comes, finds nothing
+    // left to apply at replay.
     for (const auto& [id, pt] : s->txns) {
       if (!pt.prepared) continue;
       std::string record;
-      EncodeRecord(kRecPrepare, id, pt.ops, &record);
+      EncodeRecord(pt.decided ? kRecCommitted : kRecPrepare, id, pt.ops,
+                   &record);
       RRQ_RETURN_IF_ERROR(new_wal->AddRecord(record));
     }
     RRQ_RETURN_IF_ERROR(new_wal->Sync());

@@ -81,7 +81,9 @@ struct TriggerSpec {
 /// Durability: a write-ahead log + checkpoint pair, recovered by
 /// Open(). Volatile queues (per-queue option) skip logging. The
 /// repository participates in one- and two-phase commit as a
-/// txn::ResourceManager.
+/// txn::ResourceManager, and can host a txn::HostedStore (a KvStore):
+/// the store's writes then ride the repository's commit records, so a
+/// transaction over queues and the store commits with this log alone.
 ///
 /// Internally the repository is partitioned into
 /// RepositoryOptions::shards shards keyed by queue-name hash. Each
@@ -89,16 +91,17 @@ struct TriggerSpec {
 /// stream (WAL-<gen>-<shard>) with its own group-commit leader, and
 /// its slice of the checkpoint, so operations on queues in different
 /// shards never contend on a lock or serialize into the same log.
-/// Transactions spanning shards enlist each involved shard as a
-/// distinct ResourceManager with the TransactionManager (real 2PC);
-/// internal cross-shard auto-commits (redirected tagged enqueues,
-/// cross-shard error-queue moves, replicated records) use a
-/// prepare/commit protocol over the involved shard WALs that recovery
-/// resolves atomically. The eid counter is one process-wide atomic, so
-/// element ids stay unique and monotonic across shards.
+/// A transaction enlists the repository once, however many shards it
+/// touches. Its commit, and every internal cross-shard auto-commit
+/// (redirected tagged enqueues, cross-shard error-queue moves,
+/// replicated records), runs one coordinator-last protocol over the
+/// involved shard WALs (CommitAcross): one force per shard touched,
+/// resolved atomically by recovery. The eid counter is one
+/// process-wide atomic, so element ids stay unique and monotonic
+/// across shards; it also stamps the hosted store's writes.
 ///
 /// Thread-safe.
-class QueueRepository final : public txn::ResourceManager {
+class QueueRepository final : public txn::StoreHost {
  public:
   QueueRepository(std::string name, RepositoryOptions options = {});
   ~QueueRepository() override;
@@ -200,6 +203,16 @@ class QueueRepository final : public txn::ResourceManager {
   /// recovery then dedups instead of double-applying).
   Status ApplyReplicatedRecord(const Slice& record, uint64_t seq = 0);
 
+  /// Applies the seq-tracked records first_seq, first_seq + 1, ... (a
+  /// shipped batch) as ONE commit with one watermark advance, skipping
+  /// duplicates. Nothing applies unless every record decodes. Ops keep
+  /// their order within each queue, which is all a replica's state
+  /// depends on, so the batch lands exactly as the records one by one
+  /// would, while the backup forces once per local shard the batch
+  /// touches instead of once per record.
+  Status ApplyReplicatedBatch(const std::vector<std::string>& records,
+                              uint64_t first_seq);
+
   /// Highest replication sequence number durably applied by this
   /// repository (0 = none). Survives restart: the watermark is logged
   /// atomically with each applied record and carried by checkpoints.
@@ -248,18 +261,22 @@ class QueueRepository final : public txn::ResourceManager {
     return ShardIndexOf(queue);
   }
 
-  // ---- txn::ResourceManager ----------------------------------------------
-  // The repository itself stays a ResourceManager for compatibility
-  // (calls fan out to every shard holding state for the transaction),
-  // but transactional operations enlist the involved shards directly,
-  // so the TransactionManager coordinates cross-shard atomicity with
-  // its decision log and single-shard transactions keep the fused
-  // one-phase fast path.
+  // ---- txn::StoreHost ---------------------------------------------------
+  // Transactional operations enlist the repository itself. As the only
+  // participant it commits one-phase through CommitAcross: one force
+  // per shard touched, no decision record. Beside other participants
+  // it fans the coordinator's 2PC out to the involved shards. A hosted
+  // store's write set goes into the last involved shard's part.
   std::string_view rm_name() const override { return name_; }
   Status Prepare(txn::TxnId txn) override;
   Status CommitTxn(txn::TxnId txn) override;
   void AbortTxn(txn::TxnId txn) override;
   Status PrepareAndCommit(txn::TxnId txn) override;
+  /// Hosts `store` (see txn::StoreHost); call before Open(). Recovery,
+  /// Checkpoint(), replica seeds and ApplyReplicatedRecord then carry
+  /// its state, and they fail with FailedPrecondition on a log that
+  /// holds store writes while no store is hosted.
+  void HostStore(txn::HostedStore* store) override;
 
   // ---- Statistics -------------------------------------------------------
   uint64_t enqueue_count() const { return enqueues_.load(std::memory_order_relaxed); }
@@ -323,12 +340,16 @@ class QueueRepository final : public txn::ResourceManager {
       // the record's effects; `queue` routes the op to a shard but is
       // otherwise ignored.
       kSetReplWatermark = 13,
+      // The hosted store's write set (`payload`, opaque here), stamped
+      // by element.eid; stamp 0 marks a checkpoint or seed snapshot.
+      // `queue` only routes the op to the shard that logs it.
+      kRedo = 14,
     };
     Kind kind;
     std::string queue;
     std::string registrant;   // kRegister/kDeregister/kSetLastOp
     Element element;          // kInsert/kSetLastOp (metadata), kRemove (eid)
-    std::shared_ptr<const std::string> payload;  // kInsert/kSetLastOp contents
+    std::shared_ptr<const std::string> payload;  // kInsert/kSetLastOp/kRedo
     QueueOptions qoptions;    // kCreateQueue
     bool stable = false;      // kRegister
     OpType op_type = OpType::kNone;  // kSetLastOp
@@ -391,12 +412,14 @@ class QueueRepository final : public txn::ResourceManager {
     std::vector<MicroOp> ops;
     std::vector<LockedRef> locked;
     bool prepared = false;
+    // A cross-shard part whose coordinator has logged the commit; its
+    // marker and apply are still to come (CommitAcross phase 3).
+    bool decided = false;
   };
 
   // One shard: a slice of the queue namespace with its own lock, WAL
   // stream, pending-transaction table, and triggers. Defined in the
-  // .cc. Each shard is a ResourceManager in its own right; the
-  // TransactionManager sees one participant per involved shard.
+  // .cc.
   struct Shard;
   // Per-shard recovery scratch (leftover prepared transactions and
   // commit-record ids seen), merged after the parallel replay.
@@ -417,6 +440,8 @@ class QueueRepository final : public txn::ResourceManager {
   // queues whose waiters should be notified / alerts to fire.
   void ApplyMicroOp(Shard* s, const MicroOp& op,
                     std::vector<std::string>* notify_queues);
+  // FailedPrecondition when `ops` carry store redo and none is hosted.
+  Status CheckRedoHosted(const std::vector<MicroOp>& ops) const;
   // Serialization.
   static void EncodeMicroOp(const MicroOp& op, std::string* out);
   static Status DecodeMicroOp(Slice* input, MicroOp* op);
@@ -432,7 +457,7 @@ class QueueRepository final : public txn::ResourceManager {
                     const std::vector<MicroOp>& ops, std::string* out) const;
   static Status DecodeRecord(Slice input, Record* out);
   // Logs and applies an auto-committed op list, routing it to
-  // CommitOnShard or, when it spans shards, CommitSpanning. `record`
+  // CommitOnShard or, when it spans shards, CommitAcross. `record`
   // may carry pre-encoded bytes to log verbatim (replicated records);
   // empty means encode from `ops`. Takes shard locks itself.
   Status AutoCommit(std::vector<MicroOp> ops, std::string record = "",
@@ -455,13 +480,16 @@ class QueueRepository final : public txn::ResourceManager {
   // First half of every single-shard commit, run under the shard lock
   // (REQUIRES(s->mu) on the definition): appends the record, applies
   // the ops, reserves the replication ticket. `record` as in
-  // AutoCommit, or a 2PC commit marker, which logs no ops. The caller
+  // AutoCommit, or a 2PC commit marker, which logs no ops. The record
+  // is logged when the ops need it, or always with `must_log` (a
+  // cross-shard decision whose other parts were logged). The caller
   // releases the lock and passes `out` to FinishCommit. On error
   // nothing was applied and `out` needs no cleanup. The dequeue, kill,
   // transaction-commit and abort paths call this directly so
   // decide-and-commit stays atomic under the lock.
-  Status StageCommitLocked(Shard* s, std::vector<MicroOp> ops,
-                           std::string record, CommitHandoff* out);
+  Status StageCommitLocked(Shard* s, const std::vector<MicroOp>& ops,
+                           std::string record, CommitHandoff* out,
+                           bool must_log = false);
   // Second half: syncs the WAL, wakes waiters, delivers replication in
   // ticket order, fires reactions. Call with no shard locks held.
   Status FinishCommit(CommitHandoff h, bool evaluate_reactions);
@@ -469,15 +497,24 @@ class QueueRepository final : public txn::ResourceManager {
   // commit failed before it woke anyone: after a failure it consumed
   // the replication tickets, and `h` must not be finished.
   Status SyncCommit(CommitHandoff* h);
-  // Cross-shard auto-commit: prepares on every involved shard WAL
-  // under an internal txn id, then commits everywhere with one
-  // coordinator sync. Recovery resolves leftover prepares against the
-  // union of commit records across shards, so the op list applies
-  // atomically or not at all. `record` as in AutoCommit. Only
-  // AutoCommit calls it, with ops on at least two shards.
-  Status CommitSpanning(std::vector<MicroOp> ops, std::string record,
-                        bool evaluate_reactions);
-  // Buffers ops under txn `t` and enlists each involved shard with the
+  // The shards holding pending state for `id`, ascending.
+  std::vector<Shard*> InvolvedShards(txn::TxnId id);
+  // Moves the hosted store's write set for `id`, if any, into the last
+  // of `involved` as a stamped kRedo op (adding a shard when the
+  // transaction touched no queue).
+  void AttachRedo(txn::TxnId id, std::vector<Shard*>* involved);
+  // The one commit of a pending transaction `id` over `involved`
+  // (ascending, non-empty; the last is the coordinator), one force per
+  // shard: each other shard logs its part as a synced prepare, then
+  // the coordinator logs one committed record with the id and its own
+  // part and syncs it, then each other shard logs an unsynced commit
+  // marker and applies its part. One replicated record carries every
+  // part: `record`, or encoded here when empty. Recovery commits the
+  // parts iff the decision or a marker survived. On a failure before
+  // the decision every part is aborted.
+  Status CommitAcross(txn::TxnId id, std::vector<Shard*> involved,
+                      std::string record, bool evaluate_reactions);
+  // Buffers ops under txn `t` and enlists the repository with the
   // transaction. Takes shard locks itself.
   void BufferTxnOps(txn::Transaction* t, std::vector<MicroOp> ops,
                     std::vector<LockedRef> locked);
@@ -526,6 +563,9 @@ class QueueRepository final : public txn::ResourceManager {
   // and adds the applied replication watermark.
   void EncodeShardState(const Shard& s, bool checkpoint,
                         std::vector<std::string>* records) const;
+  // Appends the hosted store's state as committed stamp-0 kRedo
+  // records (nothing without a store). Call under every shard lock.
+  void EncodeStoreState(std::vector<std::string>* records) const;
   Status LoadShardCheckpoint(Shard* s, uint64_t generation);
   // Loads the shard's checkpoint slice, then replays its WAL.
   Status RecoverShard(Shard* s, uint64_t generation, ShardRecovery* rec);
@@ -541,6 +581,8 @@ class QueueRepository final : public txn::ResourceManager {
   const std::string name_;
   RepositoryOptions options_;
   bool opened_ = false;
+  // Set by HostStore() before Open(), then immutable.
+  txn::HostedStore* store_ = nullptr;
 
   // The shards. Sized by the constructor from options_.shards and
   // re-sized by Open() when a durable directory's on-disk count

@@ -1,5 +1,6 @@
 #include "repl/replica_applier.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "repl/repl_wire.h"
@@ -122,21 +123,15 @@ Status ReplicaApplier::HandleShip(uint64_t stream, Slice* body,
     *watermark = applied;
     return Status::FailedPrecondition("sequence gap; rewind to watermark");
   }
-  for (size_t i = 0; i < records.size(); ++i) {
-    const uint64_t seq = first_seq + i;
-    if (seq <= applied) {
-      duplicates_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Status s = options_.repo->ApplyReplicatedRecord(Slice(records[i]), seq);
-    if (!s.ok()) {
-      *watermark = options_.repo->applied_repl_seq();
-      return s;
-    }
-    applied = seq;
-    applied_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // One commit for the whole batch: the backup forces once per shard
+  // the batch touches, not once per record.
+  const uint64_t end = first_seq + records.size();
+  const uint64_t fresh_from = std::min(std::max(first_seq, applied + 1), end);
+  Status s = options_.repo->ApplyReplicatedBatch(records, first_seq);
   *watermark = options_.repo->applied_repl_seq();
+  if (!s.ok()) return s;
+  duplicates_.fetch_add(fresh_from - first_seq, std::memory_order_relaxed);
+  applied_.fetch_add(end - fresh_from, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -25,8 +25,9 @@ struct ReplicaApplierOptions {
 };
 
 /// Backup-side half of WAL shipping: an RpcHandler served on the
-/// backup's replication TcpServer that feeds shipped records to
-/// QueueRepository::ApplyReplicatedRecord in sequence order.
+/// backup's replication TcpServer that feeds each shipped batch of
+/// records to QueueRepository::ApplyReplicatedBatch, one commit per
+/// batch, in sequence order.
 ///
 /// Stream identity: a primary's sequence numbers are only meaningful
 /// within one primary incarnation, so the applier binds to the first

@@ -22,6 +22,9 @@ constexpr unsigned char kRecCommitted = 3;
 constexpr unsigned char kOpPut = 1;
 constexpr unsigned char kOpDelete = 2;
 
+// Live keys per SnapshotRedo payload.
+constexpr size_t kEntriesPerSnapshotPayload = 256;
+
 }  // namespace
 
 KvStore::KvStore(std::string name, KvStoreOptions options)
@@ -29,6 +32,7 @@ KvStore::KvStore(std::string name, KvStoreOptions options)
   if (options_.lock_prefix.empty()) {
     options_.lock_prefix = options_.dir.empty() ? "kv:" + name_ : options_.dir;
   }
+  if (options_.host != nullptr) options_.host->HostStore(this);
 }
 
 KvStore::~KvStore() = default;
@@ -47,7 +51,8 @@ std::string KvStore::CurrentPath() const { return options_.dir + "/CURRENT"; }
 
 Status KvStore::Open() {
   if (opened_) return Status::FailedPrecondition("KvStore already open");
-  if (options_.env == nullptr) {
+  // A hosted store's state is recovered by its host.
+  if (options_.env == nullptr || options_.host != nullptr) {
     opened_ = true;
     return Status::OK();
   }
@@ -105,7 +110,7 @@ Status KvStore::LoadCheckpoint(uint64_t generation) REQUIRES(mu_) {
     std::string key, value;
     RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &key));
     RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &value));
-    data_[std::move(key)] = std::move(value);
+    ApplyLocked({WriteOp{std::move(key), std::move(value)}});
   }
   return Status::OK();
 }
@@ -142,25 +147,8 @@ Status KvStore::ReplayWal(uint64_t generation) REQUIRES(mu_) {
     if (type != kRecPrepare && type != kRecCommitted) {
       return Status::Corruption("unknown KvStore WAL record type");
     }
-    uint64_t op_count = 0;
-    RRQ_RETURN_IF_ERROR(util::GetVarint64(&input, &op_count));
     WriteSet ws;
-    ws.reserve(static_cast<size_t>(op_count));
-    for (uint64_t i = 0; i < op_count; ++i) {
-      if (input.empty()) return Status::Corruption("truncated write set");
-      unsigned char op = static_cast<unsigned char>(input[0]);
-      input.remove_prefix(1);
-      WriteOp w;
-      RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &w.key));
-      if (op == kOpPut) {
-        std::string value;
-        RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(&input, &value));
-        w.value = std::move(value);
-      } else if (op != kOpDelete) {
-        return Status::Corruption("unknown write-op tag");
-      }
-      ws.push_back(std::move(w));
-    }
+    RRQ_RETURN_IF_ERROR(DecodeWrites(&input, &ws));
     if (type == kRecCommitted) {
       ApplyLocked(ws);
       ++recovered_txns_;
@@ -201,20 +189,26 @@ Status KvStore::OpenWalForAppend(uint64_t generation) REQUIRES(mu_) {
   return Status::OK();
 }
 
-void KvStore::ApplyLocked(const WriteSet& ws) {
+void KvStore::ApplyLocked(const WriteSet& ws, uint64_t stamp) {
   for (const WriteOp& op : ws) {
+    auto [it, inserted] = data_.try_emplace(op.key);
+    Entry& e = it->second;
+    if (!inserted && stamp < e.stamp) continue;  // A newer write won.
+    e.stamp = stamp;
     if (op.value.has_value()) {
-      data_[op.key] = *op.value;
+      if (!e.live) ++live_;
+      e.live = true;
+      e.value = *op.value;
     } else {
-      data_.erase(op.key);
+      if (e.live) --live_;
+      e.live = false;
+      e.value.clear();
+      if (stamp == 0) data_.erase(it);  // Nothing older can follow.
     }
   }
 }
 
-void KvStore::EncodeWriteSet(txn::TxnId id, const WriteSet& ws,
-                             unsigned char type, std::string* out) {
-  out->push_back(static_cast<char>(type));
-  util::PutFixed64(out, id);
+void KvStore::EncodeWrites(const WriteSet& ws, std::string* out) {
   util::PutVarint64(out, ws.size());
   for (const WriteOp& op : ws) {
     out->push_back(
@@ -222,6 +216,38 @@ void KvStore::EncodeWriteSet(txn::TxnId id, const WriteSet& ws,
     util::PutLengthPrefixed(out, op.key);
     if (op.value.has_value()) util::PutLengthPrefixed(out, *op.value);
   }
+}
+
+Status KvStore::DecodeWrites(Slice* input, WriteSet* ws) {
+  uint64_t op_count = 0;
+  RRQ_RETURN_IF_ERROR(util::GetVarint64(input, &op_count));
+  ws->clear();
+  // Every op takes at least two bytes, so a corrupt count cannot make
+  // the reservation outgrow the input.
+  ws->reserve(static_cast<size_t>(std::min<uint64_t>(op_count, input->size())));
+  for (uint64_t i = 0; i < op_count; ++i) {
+    if (input->empty()) return Status::Corruption("truncated write set");
+    const unsigned char op = static_cast<unsigned char>((*input)[0]);
+    input->remove_prefix(1);
+    WriteOp w;
+    RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &w.key));
+    if (op == kOpPut) {
+      std::string value;
+      RRQ_RETURN_IF_ERROR(util::GetLengthPrefixedString(input, &value));
+      w.value = std::move(value);
+    } else if (op != kOpDelete) {
+      return Status::Corruption("unknown write-op tag");
+    }
+    ws->push_back(std::move(w));
+  }
+  return Status::OK();
+}
+
+void KvStore::EncodeWriteSet(txn::TxnId id, const WriteSet& ws,
+                             unsigned char type, std::string* out) {
+  out->push_back(static_cast<char>(type));
+  util::PutFixed64(out, id);
+  EncodeWrites(ws, out);
 }
 
 Status KvStore::LogAndMaybeSync(const std::string& record, bool sync) {
@@ -247,7 +273,7 @@ Status KvStore::Put(txn::Transaction* t, const Slice& key,
                     const Slice& value) {
   RRQ_RETURN_IF_ERROR(t->Lock(LockKey(key), txn::LockMode::kExclusive,
                               options_.lock_timeout_micros));
-  t->Enlist(this);
+  t->Enlist(participant());
   MutexLock guard(mu_);
   pending_[t->id()].push_back(WriteOp{key.ToString(), value.ToString()});
   return Status::OK();
@@ -256,7 +282,7 @@ Status KvStore::Put(txn::Transaction* t, const Slice& key,
 Status KvStore::Delete(txn::Transaction* t, const Slice& key) {
   RRQ_RETURN_IF_ERROR(t->Lock(LockKey(key), txn::LockMode::kExclusive,
                               options_.lock_timeout_micros));
-  t->Enlist(this);
+  t->Enlist(participant());
   MutexLock guard(mu_);
   pending_[t->id()].push_back(WriteOp{key.ToString(), std::nullopt});
   return Status::OK();
@@ -278,8 +304,10 @@ Result<std::string> KvStore::Get(txn::Transaction* t, const Slice& key) {
     }
   }
   auto found = data_.find(key.ToString());
-  if (found == data_.end()) return Status::NotFound(key.ToString());
-  return found->second;
+  if (found == data_.end() || !found->second.live) {
+    return Status::NotFound(key.ToString());
+  }
+  return found->second.value;
 }
 
 Result<std::string> KvStore::GetForUpdate(txn::Transaction* t,
@@ -292,8 +320,10 @@ Result<std::string> KvStore::GetForUpdate(txn::Transaction* t,
 Result<std::string> KvStore::GetCommitted(const Slice& key) const {
   MutexLock guard(mu_);
   auto found = data_.find(key.ToString());
-  if (found == data_.end()) return Status::NotFound(key.ToString());
-  return found->second;
+  if (found == data_.end() || !found->second.live) {
+    return Status::NotFound(key.ToString());
+  }
+  return found->second.value;
 }
 
 std::vector<std::string> KvStore::ScanKeys(const std::string& prefix) const {
@@ -302,14 +332,14 @@ std::vector<std::string> KvStore::ScanKeys(const std::string& prefix) const {
   for (auto it = data_.lower_bound(prefix);
        it != data_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
        ++it) {
-    keys.push_back(it->first);
+    if (it->second.live) keys.push_back(it->first);
   }
   return keys;
 }
 
 size_t KvStore::size() const {
   MutexLock guard(mu_);
-  return data_.size();
+  return live_;
 }
 
 // ---------------------------------------------------------------------------
@@ -381,10 +411,57 @@ void KvStore::AbortTxn(txn::TxnId id) {
 }
 
 // ---------------------------------------------------------------------------
+// HostedStore
+
+std::string KvStore::TakeRedo(txn::TxnId id) {
+  WriteSet ws;
+  {
+    MutexLock guard(mu_);
+    auto it = pending_.find(id);
+    if (it == pending_.end()) return "";
+    ws = std::move(it->second);
+    pending_.erase(it);
+  }
+  std::string redo;
+  EncodeWrites(ws, &redo);
+  return redo;
+}
+
+void KvStore::DropRedo(txn::TxnId id) { AbortTxn(id); }
+
+Status KvStore::ApplyRedo(uint64_t stamp, const Slice& redo) {
+  Slice input = redo;
+  WriteSet ws;
+  RRQ_RETURN_IF_ERROR(DecodeWrites(&input, &ws));
+  if (!input.empty()) return Status::Corruption("trailing redo bytes");
+  MutexLock guard(mu_);
+  ApplyLocked(ws, stamp);
+  return Status::OK();
+}
+
+std::vector<std::string> KvStore::SnapshotRedo() const {
+  std::vector<std::string> payloads;
+  WriteSet chunk;
+  auto flush = [&payloads, &chunk]() {
+    payloads.emplace_back();
+    EncodeWrites(chunk, &payloads.back());
+    chunk.clear();
+  };
+  MutexLock guard(mu_);
+  for (const auto& [key, e] : data_) {
+    if (!e.live) continue;  // Every later write is newer than the cut.
+    chunk.push_back(WriteOp{key, e.value});
+    if (chunk.size() >= kEntriesPerSnapshotPayload) flush();
+  }
+  if (!chunk.empty()) flush();
+  return payloads;
+}
+
+// ---------------------------------------------------------------------------
 // Checkpointing
 
 Status KvStore::Checkpoint() {
-  if (options_.env == nullptr) return Status::OK();
+  if (options_.env == nullptr || options_.host != nullptr) return Status::OK();
   env::Env* env = options_.env;
 
   MutexLock guard(mu_);
@@ -392,10 +469,11 @@ Status KvStore::Checkpoint() {
 
   // 1. Snapshot committed state.
   std::string snapshot;
-  util::PutVarint64(&snapshot, data_.size());
-  for (const auto& [key, value] : data_) {
+  util::PutVarint64(&snapshot, live_);
+  for (const auto& [key, e] : data_) {
+    if (!e.live) continue;
     util::PutLengthPrefixed(&snapshot, key);
-    util::PutLengthPrefixed(&snapshot, value);
+    util::PutLengthPrefixed(&snapshot, e.value);
   }
   RRQ_RETURN_IF_ERROR(
       env::WriteStringToFileSync(env, snapshot, CheckpointPath(next_gen)));

@@ -45,6 +45,13 @@ struct KvStoreOptions {
   /// bound fail with TimedOut (deadlock victims fail sooner, with
   /// Aborted).
   uint64_t lock_timeout_micros = 10'000'000;
+  /// Hosts the store on `host`'s log (txn::HostedStore): no WAL and no
+  /// files of its own. A transaction that writes the store enlists the
+  /// host, whose commit record carries the write set, so the store's
+  /// writes cost no force, no 2PC and no decision record of their own,
+  /// and replicate with the host's records. env, dir, the sync options
+  /// and the in-doubt resolver are then unused.
+  txn::StoreHost* host = nullptr;
 };
 
 /// A recoverable, transactional key-value store: the "shared updatable
@@ -53,12 +60,15 @@ struct KvStoreOptions {
 ///
 /// Design: main-memory std::map of committed state; per-transaction
 /// deferred write sets; strict 2PL via the enclosing transaction's
-/// lock manager; redo-only WAL (prepare record carries the write set,
-/// commit record makes it applicable); fuzzy checkpoint that snapshots
-/// committed state and re-logs in-flight prepares into a fresh WAL.
+/// lock manager. Standalone, it keeps a redo-only WAL (prepare record
+/// carries the write set, commit record makes it applicable) and a
+/// fuzzy checkpoint that snapshots committed state and re-logs
+/// in-flight prepares into a fresh WAL. Hosted (KvStoreOptions::host),
+/// it keeps neither: committed writes arrive through ApplyRedo and
+/// apply last-writer-wins by stamp, with a tombstone per delete.
 ///
 /// Thread-safe.
-class KvStore final : public txn::ResourceManager {
+class KvStore final : public txn::ResourceManager, public txn::HostedStore {
  public:
   explicit KvStore(std::string name, KvStoreOptions options = {});
   ~KvStore() override;
@@ -91,7 +101,8 @@ class KvStore final : public txn::ResourceManager {
   std::vector<std::string> ScanKeys(const std::string& prefix) const;
   size_t size() const;
 
-  /// Writes a checkpoint and truncates the WAL.
+  /// Writes a checkpoint and truncates the WAL. A hosted store is
+  /// checkpointed by its host; this is then a no-op.
   Status Checkpoint();
 
   // ---- txn::ResourceManager ------------------------------------------
@@ -100,6 +111,12 @@ class KvStore final : public txn::ResourceManager {
   Status CommitTxn(txn::TxnId txn) override;
   void AbortTxn(txn::TxnId txn) override;
   Status PrepareAndCommit(txn::TxnId txn) override;
+
+  // ---- txn::HostedStore (hosted mode) ---------------------------------
+  std::string TakeRedo(txn::TxnId txn) override;
+  void DropRedo(txn::TxnId txn) override;
+  Status ApplyRedo(uint64_t stamp, const Slice& redo) override;
+  std::vector<std::string> SnapshotRedo() const override;
 
   // ---- Introspection ---------------------------------------------------
   uint64_t wal_bytes() const;
@@ -132,13 +149,32 @@ class KvStore final : public txn::ResourceManager {
   };
   using WriteSet = std::vector<WriteOp>;
 
+  // A committed key. A hosted store keeps a deleted key as a tombstone
+  // (live == false) carrying the delete's stamp, so an older write
+  // replayed later from another log stream cannot resurrect it.
+  struct Entry {
+    std::string value;
+    uint64_t stamp = 0;
+    bool live = false;
+  };
+
   std::string LockKey(const Slice& key) const;
-  // Serialization of WAL records.
+  // The write-set encoding shared by WAL records and hosted redo:
+  // [count][tag key [value]]...
+  static void EncodeWrites(const WriteSet& ws, std::string* out);
+  static Status DecodeWrites(Slice* input, WriteSet* ws);
+  // A WAL record: [type][txn id][writes].
   static void EncodeWriteSet(txn::TxnId id, const WriteSet& ws,
                              unsigned char type, std::string* out);
   Status LogAndMaybeSync(const std::string& record, bool sync);
-  // Applies a write set to committed state.
-  void ApplyLocked(const WriteSet& ws) REQUIRES(mu_);
+  // Applies a write set to committed state. A write older than the
+  // key's stamp is skipped; a stamp-0 delete leaves no tombstone.
+  void ApplyLocked(const WriteSet& ws, uint64_t stamp = 0) REQUIRES(mu_);
+  // The participant a writing transaction enlists: the host, or this.
+  txn::ResourceManager* participant() {
+    if (options_.host != nullptr) return options_.host;
+    return this;
+  }
   void RemoveRetiredFile(const std::string& path);
   // Recovery steps, called from Open() which holds mu_ for the whole
   // durable path.
@@ -154,8 +190,9 @@ class KvStore final : public txn::ResourceManager {
   bool opened_ = false;
 
   mutable Mutex mu_;
-  // Committed state.
-  std::map<std::string, std::string> data_ GUARDED_BY(mu_);
+  // Committed state, tombstones included; live_ counts the rest.
+  std::map<std::string, Entry> data_ GUARDED_BY(mu_);
+  size_t live_ GUARDED_BY(mu_) = 0;
   // Active write sets.
   std::unordered_map<txn::TxnId, WriteSet> pending_ GUARDED_BY(mu_);
   // Voted yes.

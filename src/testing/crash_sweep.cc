@@ -50,15 +50,15 @@ int64_t ParseCount(const std::string& s) {
   return value;
 }
 
-// One incarnation of the node: coordinator, both resource managers,
-// server, and the client-side clerk. Declaration order matters — the
+// One incarnation of the node: coordinator, repository, store, server,
+// and the client-side clerk. Declaration order matters — the
 // reverse-order destruction tears the server and clerk down before the
-// stores, and the stores before the coordinator their in-doubt
-// resolver points at.
+// stores, a hosted store before its host, and the stores before the
+// coordinator their in-doubt resolver points at.
 struct Harness {
   std::unique_ptr<txn::TransactionManager> txn_mgr;
-  std::unique_ptr<storage::KvStore> kv;
   std::unique_ptr<queue::QueueRepository> repo;
+  std::unique_ptr<storage::KvStore> kv;
   std::unique_ptr<queue::LocalQueueApi> api;
   std::unique_ptr<server::Server> server;
   std::unique_ptr<client::Clerk> clerk;
@@ -66,10 +66,11 @@ struct Harness {
 
 // The handler gives "executed" durable weight: it bumps both a per-rid
 // execution count and a global counter in the KvStore, inside the
-// request's transaction. Touching the store AND the queue repository
-// makes every server cycle a two-participant 2PC through the decision
-// log; the per-rid counts are read back after recovery to judge
-// exactly-once.
+// request's transaction. A hosted store's writes ride the queue log,
+// stamped, and recovery replays the shards in parallel, so the counts
+// also check stamp-ordered replay; a standalone store makes every
+// server cycle a two-participant 2PC through the decision log. The
+// per-rid counts are read back after recovery to judge exactly-once.
 server::RequestHandler MakeHandler(storage::KvStore* kv) {
   return [kv](txn::Transaction* t, const queue::RequestEnvelope& request)
              -> Result<std::string> {
@@ -108,14 +109,6 @@ Status BuildHarness(env::Env* env, const SweepConfig& cfg, Harness* h) {
   txn::TransactionManager* tm = h->txn_mgr.get();
   auto resolver = [tm](txn::TxnId id) { return tm->WasCommitted(id); };
 
-  storage::KvStoreOptions kopt;
-  kopt.env = env;
-  kopt.dir = "db";
-  kopt.group_commit = group_commit;
-  kopt.in_doubt_resolver = resolver;
-  h->kv = std::make_unique<storage::KvStore>("db", kopt);
-  RRQ_RETURN_IF_ERROR(h->kv->Open());
-
   queue::RepositoryOptions ropt;
   ropt.env = env;
   ropt.dir = "qm";
@@ -123,6 +116,23 @@ Status BuildHarness(env::Env* env, const SweepConfig& cfg, Harness* h) {
   ropt.shards = cfg.shards;
   ropt.in_doubt_resolver = resolver;
   h->repo = std::make_unique<queue::QueueRepository>("qm", ropt);
+  if (cfg.shards > 1 &&
+      h->repo->shard_of(kRequestQueue) == h->repo->shard_of(kReplyQueue)) {
+    return Status::InvalidArgument(
+        "request and reply queues share a shard: no cross-shard commits");
+  }
+
+  storage::KvStoreOptions kopt;
+  if (cfg.standalone_store) {
+    kopt.env = env;
+    kopt.dir = "db";
+    kopt.group_commit = group_commit;
+    kopt.in_doubt_resolver = resolver;
+  } else {
+    kopt.host = h->repo.get();  // Hosted before the repository recovers.
+  }
+  h->kv = std::make_unique<storage::KvStore>("db", kopt);
+  RRQ_RETURN_IF_ERROR(h->kv->Open());
   RRQ_RETURN_IF_ERROR(h->repo->Open());
 
   h->api = std::make_unique<queue::LocalQueueApi>(h->repo.get());
@@ -422,7 +432,14 @@ void VerifyFinalState(Harness* h, env::Env* env, const SweepConfig& cfg,
   }
 
   CheckGenerationFileSet(env, "qm", judge);
-  CheckGenerationFileSet(env, "db", judge);
+  if (cfg.standalone_store) {
+    CheckGenerationFileSet(env, "db", judge);
+  } else {
+    std::vector<std::string> db_files;
+    if (env->GetChildren("db", &db_files).ok() && !db_files.empty()) {
+      judge->Violation("hosted store wrote files under db/");
+    }
+  }
   // The coordinator directory holds exactly the decision log and the
   // epoch file; EPOCH.tmp stragglers are consumed by the next Open.
   std::vector<std::string> children;
@@ -519,6 +536,7 @@ SweepResult RunCrashSweep(const SweepConfig& config) {
   if (config.shards > 1) {
     mode += ",shards=" + std::to_string(config.shards);
   }
+  if (config.standalone_store) mode += ",standalone";
   for (uint64_t k = 0; k < result.total_ops; k += stride) {
     uint64_t ignored = 0;
     std::vector<std::string> violations = RunOnePoint(config, k, &ignored);

@@ -20,15 +20,23 @@ struct SweepConfig {
   /// Seed for the torn-write truncation; k is mixed in per crash point.
   uint64_t torn_seed = 0xc4a54;
   /// Requests in the canonical workload. A checkpoint of both stores
-  /// is taken mid-stream (after requests/2) and again at the end.
-  int requests = 6;
+  /// is taken mid-stream (after requests/2) and again at the end. A
+  /// hosted-store cycle makes only 6 mutating I/O operations (three
+  /// appends, three syncs), so 10 requests keep N above 100.
+  int requests = 10;
   /// Run every stride-th crash index (1 = exhaustive). CI smoke runs
   /// use a stride > 1 on the torn configurations to bound time.
   uint64_t stride = 1;
   /// Shard count for the queue repository (per-shard WAL streams and
   /// checkpoint slices; 1 = the single-stream layout). The sweep's
-  /// file-set invariant adapts to the per-shard naming.
+  /// file-set invariant adapts to the per-shard naming. With more than
+  /// one shard the request and reply queues sit on different shards,
+  /// so every server transaction is a cross-shard commit.
   unsigned shards = 1;
+  /// Run the KvStore standalone, with its own WAL under db/, instead of
+  /// hosted on the queue repository (rrqd's wiring). Every server cycle
+  /// is then a two-participant 2PC through the decision log.
+  bool standalone_store = false;
 };
 
 /// Outcome of a sweep.
@@ -47,8 +55,9 @@ struct SweepResult {
 };
 
 /// Runs the canonical workload — Send / server-cycle / Receive over a
-/// QueueRepository + KvStore (two-participant 2PC through the
-/// TransactionManager's decision log) with mid-stream checkpoints —
+/// QueueRepository + KvStore (hosted on the repository, or standalone
+/// with 2PC through the TransactionManager's decision log) with
+/// mid-stream checkpoints —
 /// under a CrashPointEnv, once per crash index k: the k-th mutating
 /// I/O operation becomes a power failure, a fresh incarnation recovers
 /// from the surviving bytes, resumes via the paper's Connect protocol,

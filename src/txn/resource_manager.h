@@ -1,9 +1,13 @@
 #ifndef RRQ_TXN_RESOURCE_MANAGER_H_
 #define RRQ_TXN_RESOURCE_MANAGER_H_
 
+#include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "txn/types.h"
+#include "util/slice.h"
 #include "util/status.h"
 
 namespace rrq::txn {
@@ -44,6 +48,40 @@ class ResourceManager {
     if (!s.ok()) return s;
     return CommitTxn(txn);
   }
+};
+
+/// A store that keeps no log of its own: its writes commit inside the
+/// commit record of a StoreHost (a KvStore hosted on a
+/// QueueRepository). The host carries each transaction's write set as
+/// an opaque redo payload with a stamp that grows with commit order,
+/// and hands committed redo back on commit, log replay, checkpoint
+/// load and replication, in no particular order across its log
+/// streams.
+class HostedStore {
+ public:
+  virtual ~HostedStore() = default;
+
+  /// Removes `txn`'s write set and returns it as redo ("" when the
+  /// transaction wrote nothing here).
+  virtual std::string TakeRedo(TxnId txn) = 0;
+  /// Forgets `txn`'s write set: the transaction aborted.
+  virtual void DropRedo(TxnId txn) = 0;
+  /// Applies committed redo, last writer wins by `stamp`, so replay
+  /// order does not matter. Stamp 0 is older than every commit.
+  virtual Status ApplyRedo(uint64_t stamp, const Slice& redo) = 0;
+  /// The committed state as redo payloads, to be applied with stamp 0
+  /// (checkpoints and replica seeds).
+  virtual std::vector<std::string> SnapshotRedo() const = 0;
+};
+
+/// A ResourceManager whose commit records can carry a HostedStore's
+/// writes. A transaction that writes the store enlists the host.
+class StoreHost : public ResourceManager {
+ public:
+  /// Attaches `store`. Call before the host recovers its log; the
+  /// store must outlive every later commit, replay and replicated
+  /// apply.
+  virtual void HostStore(HostedStore* store) = 0;
 };
 
 }  // namespace rrq::txn

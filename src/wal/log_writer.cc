@@ -18,6 +18,15 @@ LogWriter::LogWriter(std::unique_ptr<env::WritableFile> dest,
 
 Status LogWriter::AddRecord(const Slice& record, uint64_t* end_offset) {
   MutexLock guard(mu_);
+  RRQ_RETURN_IF_ERROR(error_);
+  // A half-written record would hide every later one from the reader,
+  // so a failed append poisons the writer like a failed sync.
+  Status s = AppendLocked(record, end_offset);
+  if (!s.ok()) error_ = s;
+  return s;
+}
+
+Status LogWriter::AppendLocked(const Slice& record, uint64_t* end_offset) {
   const char* ptr = record.data();
   size_t left = record.size();
 
@@ -91,22 +100,26 @@ Status LogWriter::SyncTo(uint64_t offset) {
     uint64_t target;
     {
       MutexLock append_guard(mu_);
+      RRQ_RETURN_IF_ERROR(error_);
       target = physical_size_;
     }
-    RRQ_RETURN_IF_ERROR(dest_->Flush());
-    RRQ_RETURN_IF_ERROR(dest_->Sync());
+    Status s = dest_->Flush();
+    if (s.ok()) s = dest_->Sync();
+    if (!s.ok()) return Poison(s);
     physical_syncs_.fetch_add(1, std::memory_order_relaxed);
     if (target > durable_offset_) durable_offset_ = target;
     return Status::OK();
   }
 
   MutexLock lock(sync_mu_);
+  RRQ_RETURN_IF_ERROR(error());
   if (durable_offset_ >= offset) return Status::OK();  // Already covered.
   sync_requests_.fetch_add(1, std::memory_order_relaxed);
   while (true) {
     if (durable_offset_ >= offset) return Status::OK();  // Leader covered us.
     if (!sync_in_progress_) break;
     sync_cv_.Wait(sync_mu_);
+    RRQ_RETURN_IF_ERROR(error());  // The leader's sync failed.
   }
 
   // Become the sync leader. The physical sync runs without sync_mu_ so
@@ -124,6 +137,10 @@ Status LogWriter::SyncTo(uint64_t offset) {
   }
   Status s = dest_->Flush();
   if (s.ok()) s = dest_->Sync();
+  // Fail-stop: after a failed fsync the kernel may already have dropped
+  // the dirty pages, so no later sync could vouch for these bytes. The
+  // error sticks, and every waiter and later caller gets it.
+  if (!s.ok()) Poison(s);
 
   lock.Lock();
   sync_in_progress_ = false;
@@ -133,6 +150,17 @@ Status LogWriter::SyncTo(uint64_t offset) {
   }
   sync_cv_.SignalAll();
   return s;
+}
+
+Status LogWriter::Poison(const Status& s) {
+  MutexLock guard(mu_);
+  if (error_.ok()) error_ = s;
+  return error_;
+}
+
+Status LogWriter::error() const {
+  MutexLock guard(mu_);
+  return error_;
 }
 
 Status LogWriter::Sync() { return SyncTo(PhysicalSize()); }

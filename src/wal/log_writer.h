@@ -26,6 +26,11 @@ namespace rrq::wal {
 /// Invariant: durable_offset() only advances after a successful
 /// physical Sync() of at least that many log bytes, so SyncTo(o)
 /// returning OK means bytes [0, o) survive a crash.
+///
+/// Fail-stop: the first failed append, flush or sync poisons the
+/// writer. Every later AddRecord and SyncTo returns that error, so no
+/// commit is acknowledged on top of bytes the kernel may have dropped;
+/// the owner recovers by reopening from what is on disk.
 class LogWriter {
  public:
   /// Takes ownership of `dest`, which must be positioned at the end of
@@ -64,6 +69,9 @@ class LogWriter {
   /// Watermark: bytes known durable on stable storage.
   uint64_t durable_offset() const;
 
+  /// The error that poisoned the writer (OK while healthy).
+  Status error() const;
+
   // ---- Group-commit observability ------------------------------------
   /// Physical Sync() calls issued to the file.
   uint64_t sync_count() const {
@@ -81,8 +89,12 @@ class LogWriter {
   }
 
  private:
+  Status AppendLocked(const Slice& record, uint64_t* end_offset)
+      REQUIRES(mu_);
   Status EmitPhysicalRecord(unsigned char type, const char* ptr, size_t n)
       REQUIRES(mu_);
+  // Makes `s` sticky (the first error wins) and returns the sticky one.
+  Status Poison(const Status& s) EXCLUDES(mu_);
 
   // dest_ itself is deliberately unguarded: Append runs under mu_ while
   // the sync leader calls Flush/Sync concurrently with no lock held —
@@ -94,6 +106,8 @@ class LogWriter {
   // Current offset within the current block.
   int block_offset_ GUARDED_BY(mu_);
   uint64_t physical_size_ GUARDED_BY(mu_);
+  // First append or sync failure; sticky (see class comment).
+  Status error_ GUARDED_BY(mu_);
 
   // Group-commit state. Lock order: sync_mu_ before mu_ (the per-op
   // sync path snapshots the append frontier while holding sync_mu_);

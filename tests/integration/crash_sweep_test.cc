@@ -1,7 +1,9 @@
 // Deterministic crash-point sweep (tier-1): every mutating I/O
 // operation of the canonical workload becomes, in turn, a power
 // failure; after each, a fresh incarnation recovers and the paper's §3
-// guarantees plus the on-disk file-set invariant must hold.
+// guarantees plus the on-disk file-set invariant must hold. The store
+// is hosted on the queue repository, as in rrqd, except in the one
+// standalone mode.
 //
 // By default (CI smoke) the clean-crash sweeps are exhaustive and the
 // torn-write sweeps run a strided subset. Set RRQ_CRASH_SWEEP_FULL=1
@@ -45,6 +47,16 @@ TEST(CrashSweepTest, GroupCommitEveryCrashPointRecovers) {
   ExpectClean(config);
 }
 
+// The store standalone, with its own WAL: every server cycle is a
+// two-participant 2PC through the decision log, which keeps that
+// protocol under the sweep.
+TEST(CrashSweepTest, StandaloneStoreTwoPhaseEveryCrashPointRecovers) {
+  SweepConfig config;
+  config.group_commit = true;
+  config.standalone_store = true;
+  ExpectClean(config);
+}
+
 TEST(CrashSweepTest, PerOpSyncEveryCrashPointRecovers) {
   SweepConfig config;
   config.group_commit = false;
@@ -68,10 +80,13 @@ TEST(CrashSweepTest, TornWritesPerOpSync) {
 }
 
 // Sharded repository (4 WAL streams, per-shard checkpoint slices):
-// crash-before-op. Recovery must resolve cross-shard prepares
-// atomically and the GC must retire per-shard orphan generations —
-// CheckGenerationFileSet asserts no WAL-<g>-<s>/CHECKPOINT-<g>-<s>
-// stragglers survive.
+// crash-before-op. The request and reply queues sit on different
+// shards (the harness refuses otherwise), so every server transaction
+// is a cross-shard commit carrying the hosted store's writes. Recovery
+// must resolve cross-shard prepares atomically, replay the store's
+// stamped writes across shards in any order, and the GC must retire
+// per-shard orphan generations — CheckGenerationFileSet asserts no
+// WAL-<g>-<s>/CHECKPOINT-<g>-<s> stragglers survive.
 TEST(CrashSweepTest, ShardedEveryCrashPointRecovers) {
   SweepConfig config;
   config.group_commit = true;

@@ -28,9 +28,9 @@
 #include "env/env.h"
 #include "net/queue_wire.h"
 #include "net/tcp_transport.h"
+#include "server/exec_backend.h"
 #include "storage/kv_store.h"
 #include "testing/subprocess.h"
-#include "txn/txn_manager.h"
 
 namespace rrq {
 namespace {
@@ -156,21 +156,9 @@ TEST(RemoteExactlyOnceTest, SurvivesDaemonSigkillMidWorkload) {
   auto exit_status = daemon.Wait();
   ASSERT_TRUE(exit_status.ok()) << exit_status.status().ToString();
 
-  env::Env* env = env::Env::Default();
-  txn::TxnManagerOptions txn_options;
-  txn_options.env = env;
-  txn_options.dir = dir + "/txn";
-  txn::TransactionManager txn_mgr(txn_options);
-  ASSERT_TRUE(txn_mgr.Open().ok());
-
-  storage::KvStoreOptions db_options;
-  db_options.env = env;
-  db_options.dir = dir + "/db";
-  db_options.in_doubt_resolver = [&txn_mgr](txn::TxnId id) {
-    return txn_mgr.WasCommitted(id);
-  };
-  storage::KvStore db("db", db_options);
-  ASSERT_TRUE(db.Open().ok());
+  server::ExecBackend backend;
+  ASSERT_TRUE(backend.Open(env::Env::Default(), dir, {}).ok());
+  storage::KvStore& db = *backend.db();
 
   // The daemon's handler incremented exec/<rid> once per committed
   // execution — the ground truth for exactly-once.

@@ -3,18 +3,21 @@
 // (ack'd mode) — under a 4-clerk pool workload. The primary is
 // SIGKILLed mid-workload, the backup is promoted through the admin op,
 // the pool is repointed at it, and every clerk finishes its run there.
-// Afterwards the *backup's* durable state is audited: the demo server
-// enqueued "exec:<rid>:<count>" into a replicated audit queue
-// atomically with each execution, so draining that queue on the
-// survivor yields the exact multiset of executions that exist in the
-// post-failover history — which must be exactly one per rid.
+// Afterwards the *backup's* durable state is audited twice: the demo
+// server enqueued "exec:<rid>:<count>" into a replicated audit queue
+// atomically with each execution, and counted it under exec/<rid> in
+// its database, which is hosted on the queue repository and so
+// replicates with it. Draining that queue on the survivor yields the
+// exact multiset of executions that exist in the post-failover
+// history, and the survivor's database must agree: exactly one per
+// rid.
 //
-// Single-shard daemons: a cross-shard commit replicates as one record
-// per shard (atomic per shard, not across shards — DESIGN.md §12), so
-// the strongest audit runs with one shard. Ack'd mode makes the test
-// deterministic: any result a clerk observed was acknowledged by the
-// backup first, so the backup is always a consistent prefix ending at
-// a client-observed point.
+// Four-shard daemons: a server transaction whose request and reply
+// queues sit on different shards replicates as one record, which the
+// backup applies atomically across its own shards (DESIGN.md §12).
+// Ack'd mode makes the test deterministic: any result a clerk observed
+// was acknowledged by the backup first, so the backup is always a
+// consistent prefix ending at a client-observed point.
 //
 // Both daemons bind ephemeral ports (--port 0 / --repl-port 0) and
 // report them on stdout — no fixed-port collisions across parallel
@@ -39,6 +42,7 @@
 #include "net/queue_wire.h"
 #include "net/tcp_transport.h"
 #include "queue/queue_repository.h"
+#include "server/exec_backend.h"
 #include "testing/subprocess.h"
 
 namespace rrq {
@@ -79,7 +83,7 @@ TEST(ReplicatedFailoverTest, PoolSurvivesPrimarySigkillViaPromotedBackup) {
   testing::Subprocess backup;
   ASSERT_TRUE(backup
                   .Spawn({RRQD_BINARY, "--dir", backup_dir, "--port", "0",
-                          "--threads", "2", "--shards", "1", "--role",
+                          "--threads", "2", "--shards", "4", "--role",
                           "backup", "--repl-port", "0", "--audit-queue",
                           "audit"})
                   .ok());
@@ -95,7 +99,7 @@ TEST(ReplicatedFailoverTest, PoolSurvivesPrimarySigkillViaPromotedBackup) {
   testing::Subprocess primary;
   ASSERT_TRUE(primary
                   .Spawn({RRQD_BINARY, "--dir", primary_dir, "--port", "0",
-                          "--threads", "2", "--shards", "1", "--role",
+                          "--threads", "2", "--shards", "4", "--role",
                           "primary", "--replicate-to",
                           "127.0.0.1:" + std::to_string(repl_port),
                           "--repl-mode", "ack", "--audit-queue", "audit"})
@@ -222,13 +226,17 @@ TEST(ReplicatedFailoverTest, PoolSurvivesPrimarySigkillViaPromotedBackup) {
   auto exit_status = backup.Wait();
   ASSERT_TRUE(exit_status.ok()) << exit_status.status().ToString();
 
-  queue::RepositoryOptions repo_options;
-  repo_options.env = env::Env::Default();
-  repo_options.dir = backup_dir + "/qm";
-  repo_options.shards = 1;
-  queue::QueueRepository survivor("qm", repo_options);
-  ASSERT_TRUE(survivor.Open().ok());
+  server::ExecBackend backend;
+  ASSERT_TRUE(backend.Open(env::Env::Default(), backup_dir, {}).ok());
+  queue::QueueRepository& survivor = *backend.repo();
   ASSERT_TRUE(survivor.QueueExists("audit"));
+  // The replicated database: one execution per rid, no other rids.
+  EXPECT_EQ(backend.db()->ScanKeys("exec/").size(), submitted.size());
+  for (const std::string& rid : submitted) {
+    auto count = backend.db()->GetCommitted("exec/" + rid);
+    ASSERT_TRUE(count.ok()) << rid << ": " << count.status().ToString();
+    EXPECT_EQ(*count, "1") << rid;
+  }
   for (;;) {
     auto element = survivor.Dequeue(nullptr, "audit");
     if (!element.ok()) break;

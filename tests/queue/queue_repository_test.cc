@@ -8,6 +8,8 @@
 
 #include "env/faulty_env.h"
 #include "env/mem_env.h"
+#include "storage/kv_store.h"
+#include "testing/sync_hook_env.h"
 #include "txn/txn_manager.h"
 #include "util/coding.h"
 
@@ -1079,6 +1081,7 @@ class ShardedRepositoryTest : public ::testing::Test {
   std::unique_ptr<txn::TransactionManager> txn_mgr_;
   std::unique_ptr<QueueRepository> repo_;
   int name_seq_ = 0;
+  int syncs_ = 0;
 };
 
 TEST_F(ShardedRepositoryTest, CrossShardTransactionCommitsAtomically) {
@@ -1139,6 +1142,134 @@ TEST_F(ShardedRepositoryTest, CrossShardPreparedTransactionRecovers) {
   EXPECT_EQ(*recovered.Depth(qa), 1u);
   EXPECT_EQ(*recovered.Depth(qb), 1u);
   txn->Abort();
+}
+
+// The cross-shard commit's checkpoint rule. A checkpoint that runs
+// after the coordinator logged the decision, but before the other
+// shard's marker, retires the decision with the old generation. The
+// other shard's part must then be re-logged as committed, or a crash
+// before the marker would keep the coordinator's part (and the hosted
+// store's write, which rides it) and presume the rest aborted.
+TEST_F(ShardedRepositoryTest, CheckpointBetweenDecisionAndMarkerKeepsTxnWhole) {
+  const std::string qa = NameOnShard(0);
+  const std::string qb = NameOnShard(2);  // The coordinator: last shard.
+  bool armed = false;
+  QueueRepository* live = nullptr;
+  testing::SyncHookEnv env(&env_, [&](const std::string& path) {
+    // The decision's force: checkpoint before it completes.
+    if (armed && path == "/ck/WAL-0-2") {
+      armed = false;
+      ASSERT_TRUE(live->Checkpoint().ok());
+    }
+  });
+  auto open = [&](std::unique_ptr<QueueRepository>* repo,
+                  std::unique_ptr<storage::KvStore>* db) {
+    RepositoryOptions options;
+    options.env = &env;
+    options.dir = "/ck";
+    options.shards = 4;
+    *repo = std::make_unique<QueueRepository>("ck", options);
+    storage::KvStoreOptions db_options;
+    db_options.host = repo->get();
+    *db = std::make_unique<storage::KvStore>("db", db_options);
+    ASSERT_TRUE((*repo)->Open().ok());
+  };
+  std::unique_ptr<QueueRepository> repo;
+  std::unique_ptr<storage::KvStore> db;
+  open(&repo, &db);
+  live = repo.get();
+  ASSERT_TRUE(repo->CreateQueue(qa).ok());
+  ASSERT_TRUE(repo->CreateQueue(qb).ok());
+  ASSERT_TRUE(repo->Enqueue(nullptr, qa, "request").ok());
+
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo->Dequeue(txn.get(), qa).ok());
+  ASSERT_TRUE(db->Put(txn.get(), "exec/1", "1").ok());
+  ASSERT_TRUE(repo->Enqueue(txn.get(), qb, "reply").ok());
+  armed = true;
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_FALSE(armed) << "the checkpoint never ran";
+  env_.SimulateCrash();  // Drops the unsynced marker on shard 0.
+
+  db.reset();
+  repo.reset();
+  open(&repo, &db);
+  const size_t request = *repo->Depth(qa);
+  const size_t reply = *repo->Depth(qb);
+  const bool counted = db->GetCommitted("exec/1").ok();
+  // All of it or none of it; the checkpoint made the decision durable.
+  EXPECT_EQ(request, 0u);
+  EXPECT_EQ(reply, 1u);
+  EXPECT_TRUE(counted);
+}
+
+// A hosted store's writes commit in the coordinator's record: a
+// spanning transaction forces once per shard it touches, and the
+// store recovers from the repository's log alone.
+TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
+  testing::SyncHookEnv::Hook count = [this](const std::string&) { ++syncs_; };
+  testing::SyncHookEnv env(&env_, count);
+  RepositoryOptions options;
+  options.env = &env;
+  options.dir = "/hs";
+  options.shards = 4;
+  auto repo = std::make_unique<QueueRepository>("hs", options);
+  storage::KvStoreOptions db_options;
+  db_options.host = repo.get();
+  auto db = std::make_unique<storage::KvStore>("db", db_options);
+  ASSERT_TRUE(repo->Open().ok());
+  const std::string qa = NameOnShard(1);
+  const std::string qb = NameOnShard(3);
+  ASSERT_TRUE(repo->CreateQueue(qa).ok());
+  ASSERT_TRUE(repo->CreateQueue(qb).ok());
+  ASSERT_TRUE(repo->Enqueue(nullptr, qa, "x").ok());
+
+  syncs_ = 0;
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo->Dequeue(txn.get(), qa).ok());
+  ASSERT_TRUE(db->Put(txn.get(), "k", "v").ok());
+  ASSERT_TRUE(db->Put(txn.get(), "gone", "soon").ok());
+  ASSERT_TRUE(db->Delete(txn.get(), "gone").ok());
+  ASSERT_TRUE(repo->Enqueue(txn.get(), qb, "y").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(syncs_, 2);  // Shard 1's prepare, shard 3's decision.
+  EXPECT_EQ(*db->GetCommitted("k"), "v");
+
+  // A transaction that writes only the store still commits (one force).
+  syncs_ = 0;
+  auto solo = txn_mgr_->Begin();
+  ASSERT_TRUE(db->Put(solo.get(), "solo", "1").ok());
+  ASSERT_TRUE(solo->Commit().ok());
+  EXPECT_EQ(syncs_, 1);
+
+  db.reset();
+  repo.reset();
+  env_.SimulateCrash();
+  repo = std::make_unique<QueueRepository>("hs", options);
+  db_options.host = repo.get();
+  db = std::make_unique<storage::KvStore>("db", db_options);
+  ASSERT_TRUE(repo->Open().ok());
+  EXPECT_EQ(*db->GetCommitted("k"), "v");
+  EXPECT_EQ(*db->GetCommitted("solo"), "1");
+  EXPECT_TRUE(db->GetCommitted("gone").status().IsNotFound());
+  EXPECT_EQ(*repo->Depth(qa), 0u);
+  EXPECT_EQ(*repo->Depth(qb), 1u);
+
+  // A checkpoint carries the store; a repository without one refuses
+  // the log instead of dropping the store's state.
+  ASSERT_TRUE(repo->Checkpoint().ok());
+  db.reset();
+  repo.reset();
+  repo = std::make_unique<QueueRepository>("hs", options);
+  db_options.host = repo.get();
+  db = std::make_unique<storage::KvStore>("db", db_options);
+  ASSERT_TRUE(repo->Open().ok());
+  EXPECT_EQ(*db->GetCommitted("k"), "v");
+  EXPECT_EQ(db->size(), 2u);
+  db.reset();
+  repo.reset();
+  QueueRepository bare("hs", options);
+  EXPECT_TRUE(bare.Open().IsFailedPrecondition());
 }
 
 TEST_F(ShardedRepositoryTest, DequeueFromSetScansAcrossShards) {

@@ -1,6 +1,8 @@
 // Crash-consistency sweep over the backup applier's mutation points:
 // every I/O operation a sequence of ApplyReplicatedRecord(record, seq)
-// calls performs becomes, in turn, a simulated power failure. The
+// calls — or of ApplyReplicatedBatch calls, one commit per shipped
+// batch, as the applier makes them — performs becomes, in turn, a
+// simulated power failure. The
 // recovered backup reports its watermark, applying resumes from there
 // (re-shipping everything — dedup must absorb the overlap), and the
 // final state must be byte-identical to an uncrashed run. This is the
@@ -8,6 +10,7 @@
 // mid-apply and resumes never diverges from the primary's history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,12 +59,22 @@ std::vector<std::string> CanonicalRecords() {
   return shipped;
 }
 
-// Applies records [resume_from-1 ...] seq-tracked; stops early once
-// the env has crashed. Errors during the armed window are expected.
+// Applies every record seq-tracked, one call per record (batch 0) or
+// in shipped batches of `batch`; stops early once the env has crashed.
+// Errors during the armed window are expected.
 void ApplyAll(QueueRepository* repo, const std::vector<std::string>& records,
-              env::CrashPointEnv* env) {
-  for (size_t i = 0; i < records.size(); ++i) {
-    Status s = repo->ApplyReplicatedRecord(Slice(records[i]), i + 1);
+              env::CrashPointEnv* env, size_t batch) {
+  const size_t step = batch == 0 ? 1 : batch;
+  for (size_t i = 0; i < records.size(); i += step) {
+    Status s;
+    if (batch == 0) {
+      s = repo->ApplyReplicatedRecord(Slice(records[i]), i + 1);
+    } else {
+      const size_t end = std::min(records.size(), i + batch);
+      s = repo->ApplyReplicatedBatch(
+          std::vector<std::string>(records.begin() + i, records.begin() + end),
+          i + 1);
+    }
     if (env != nullptr && env->crashed()) return;
     ASSERT_TRUE(s.ok()) << "record " << i << ": " << s.ToString();
   }
@@ -89,7 +102,7 @@ RepositoryOptions BackupOptions(env::Env* env) {
   return options;
 }
 
-TEST(ApplierCrashSweepTest, EveryCrashPointRecoversAndConverges) {
+void SweepEveryCrashPoint(size_t batch) {
   const std::vector<std::string> records = CanonicalRecords();
   ASSERT_GE(records.size(), 8u);
 
@@ -101,7 +114,7 @@ TEST(ApplierCrashSweepTest, EveryCrashPointRecoversAndConverges) {
     env::CrashPointEnv env(&base);
     QueueRepository backup("sweep-backup", BackupOptions(&env));
     ASSERT_TRUE(backup.Open().ok());
-    ApplyAll(&backup, records, nullptr);
+    ApplyAll(&backup, records, nullptr, batch);
     EXPECT_EQ(backup.applied_repl_seq(), records.size());
     want = Fingerprint(&backup);
     total_ops = env.mutating_op_count();
@@ -118,7 +131,7 @@ TEST(ApplierCrashSweepTest, EveryCrashPointRecoversAndConverges) {
       ASSERT_TRUE(backup.Open().ok());
       env.ResetCounter();
       env.ArmCrash(k, &torn_rng);
-      ApplyAll(&backup, records, &env);
+      ApplyAll(&backup, records, &env, batch);
       env.Disarm();
     }
     base.SimulateCrash();
@@ -129,10 +142,21 @@ TEST(ApplierCrashSweepTest, EveryCrashPointRecoversAndConverges) {
     QueueRepository recovered("sweep-backup", BackupOptions(&env));
     ASSERT_TRUE(recovered.Open().ok());
     ASSERT_LE(recovered.applied_repl_seq(), records.size());
-    ApplyAll(&recovered, records, nullptr);
+    ApplyAll(&recovered, records, nullptr, batch);
     EXPECT_EQ(recovered.applied_repl_seq(), records.size());
     EXPECT_EQ(Fingerprint(&recovered), want);
   }
+}
+
+TEST(ApplierCrashSweepTest, EveryCrashPointRecoversAndConverges) {
+  SweepEveryCrashPoint(/*batch=*/0);
+}
+
+// Batches of three over two shards: each batch is one cross-shard
+// commit with one watermark advance, so a crash keeps a whole batch
+// or none of it, and the re-shipped stream still converges.
+TEST(ApplierCrashSweepTest, BatchedApplyRecoversAndConverges) {
+  SweepEveryCrashPoint(/*batch=*/3);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "env/faulty_env.h"
 #include "env/mem_env.h"
+#include "queue/queue_repository.h"
 
 namespace rrq::storage {
 namespace {
@@ -260,6 +261,51 @@ TEST_F(KvStoreTest, OpenRemovesOrphanGenerations) {
   EXPECT_FALSE(env_.FileExists("/kv/WAL-2.tmp"));
   EXPECT_TRUE(env_.FileExists("/kv/WAL-1"));  // Live generation survives.
   EXPECT_EQ(*store_->GetCommitted("k"), "survivor");
+}
+
+// A hosted store's redo may come back in any order (parallel replay
+// of per-shard logs): the newest stamp wins, and a delete leaves a
+// tombstone that an older write cannot get past.
+TEST_F(KvStoreTest, HostedRedoAppliesLastWriterWinsByStamp) {
+  queue::QueueRepository host("host");
+  KvStoreOptions options;
+  options.host = &host;
+  KvStore writer("writer", options);
+  auto redo_of = [&](const std::function<Status(txn::Transaction*)>& body) {
+    auto txn = txn_mgr_->Begin();
+    EXPECT_TRUE(body(txn.get()).ok());
+    std::string redo = writer.TakeRedo(txn->id());
+    txn->Abort();  // The host never commits it; only the bytes matter.
+    return redo;
+  };
+  const std::string put1 = redo_of(
+      [&](txn::Transaction* t) { return writer.Put(t, "k", "v1"); });
+  const std::string del2 =
+      redo_of([&](txn::Transaction* t) { return writer.Delete(t, "k"); });
+  const std::string put3 = redo_of(
+      [&](txn::Transaction* t) { return writer.Put(t, "k", "v3"); });
+  EXPECT_EQ(writer.size(), 0u);
+
+  queue::QueueRepository host2("host2");
+  options.host = &host2;
+  KvStore replayed("replayed", options);
+  ASSERT_TRUE(replayed.ApplyRedo(30, put3).ok());
+  ASSERT_TRUE(replayed.ApplyRedo(10, put1).ok());
+  ASSERT_TRUE(replayed.ApplyRedo(20, del2).ok());
+  EXPECT_EQ(*replayed.GetCommitted("k"), "v3");
+
+  queue::QueueRepository host3("host3");
+  options.host = &host3;
+  KvStore deleted("deleted", options);
+  ASSERT_TRUE(deleted.ApplyRedo(20, del2).ok());
+  ASSERT_TRUE(deleted.ApplyRedo(10, put1).ok());  // Behind the tombstone.
+  EXPECT_TRUE(deleted.GetCommitted("k").status().IsNotFound());
+  EXPECT_TRUE(deleted.ScanKeys("").empty());
+  EXPECT_EQ(deleted.size(), 0u);
+  // A snapshot (stamp 0) is older than every commit.
+  ASSERT_TRUE(deleted.ApplyRedo(0, put3).ok());
+  EXPECT_TRUE(deleted.GetCommitted("k").status().IsNotFound());
+  EXPECT_TRUE(deleted.ApplyRedo(40, "garbage").IsCorruption());
 }
 
 TEST_F(KvStoreTest, FailedRetirementIsCountedNotFatal) {

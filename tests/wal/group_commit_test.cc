@@ -157,12 +157,18 @@ TEST_F(GroupCommitTest, FailedLeaderSyncSurfacesAndDoesNotAdvance) {
   EXPECT_LT(writer.durable_offset(), end_offset);
   EXPECT_EQ(writer.sync_count(), 0u);
 
-  // A later committer retries as leader and succeeds once the fault
-  // clears; the watermark then covers the earlier record too.
+  // Fail-stop: the failed sync may have dropped the dirty pages, so the
+  // error sticks even after the fault clears. No later sync or append
+  // succeeds and the watermark never moves.
   faulty.SetFaultsSuppressed(true);
-  ASSERT_TRUE(writer.SyncTo(end_offset).ok());
-  EXPECT_GE(writer.durable_offset(), end_offset);
-  EXPECT_EQ(writer.sync_count(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(writer.SyncTo(end_offset).ok());
+  }
+  EXPECT_FALSE(writer.Sync().ok());
+  EXPECT_FALSE(writer.AddRecord("after").ok());
+  EXPECT_FALSE(writer.error().ok());
+  EXPECT_LT(writer.durable_offset(), end_offset);
+  EXPECT_EQ(writer.sync_count(), 0u);
 }
 
 TEST_F(GroupCommitTest, CrashAfterGroupCommitKeepsEveryAcknowledgedRecord) {
