@@ -4,8 +4,9 @@ namespace rrq::env {
 
 class FaultyEnv::CountingWritableFile final : public WritableFile {
  public:
-  CountingWritableFile(std::unique_ptr<WritableFile> base, FaultyEnv* env)
-      : base_(std::move(base)), env_(env) {}
+  CountingWritableFile(std::unique_ptr<WritableFile> base, std::string path,
+                       FaultyEnv* env)
+      : base_(std::move(base)), path_(std::move(path)), env_(env) {}
 
   Status Append(const Slice& data) override {
     env_->appends_.fetch_add(1, std::memory_order_relaxed);
@@ -20,6 +21,7 @@ class FaultyEnv::CountingWritableFile final : public WritableFile {
 
   Status Sync() override {
     env_->syncs_.fetch_add(1, std::memory_order_relaxed);
+    if (env_->config_.on_sync) env_->config_.on_sync(path_);
     if (env_->ShouldFail(env_->config_.sync_failure_one_in)) {
       return Status::IOError("injected sync failure");
     }
@@ -30,6 +32,7 @@ class FaultyEnv::CountingWritableFile final : public WritableFile {
 
  private:
   std::unique_ptr<WritableFile> base_;
+  const std::string path_;
   FaultyEnv* env_;
 };
 
@@ -70,7 +73,8 @@ Status FaultyEnv::NewWritableFile(const std::string& fname,
   }
   std::unique_ptr<WritableFile> file;
   RRQ_RETURN_IF_ERROR(base_->NewWritableFile(fname, &file));
-  *result = std::make_unique<CountingWritableFile>(std::move(file), this);
+  *result = std::make_unique<CountingWritableFile>(std::move(file), fname,
+                                                  this);
   return Status::OK();
 }
 
@@ -81,7 +85,8 @@ Status FaultyEnv::NewAppendableFile(const std::string& fname,
   }
   std::unique_ptr<WritableFile> file;
   RRQ_RETURN_IF_ERROR(base_->NewAppendableFile(fname, &file));
-  *result = std::make_unique<CountingWritableFile>(std::move(file), this);
+  *result = std::make_unique<CountingWritableFile>(std::move(file), fname,
+                                                  this);
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define RRQ_ENV_FAULTY_ENV_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -19,6 +20,10 @@ struct FaultConfig {
   uint32_t open_failure_one_in = 0;   ///< New*File() returns IOError.
   uint32_t remove_failure_one_in = 0; ///< RemoveFile() returns IOError.
   uint64_t seed = 42;                 ///< Rng seed for fault decisions.
+  /// When set, runs on the syncing thread with the file's path before
+  /// each Sync() (tests use it to count forces per file, or to run work
+  /// at one chosen sync). It may re-enter the env.
+  std::function<void(const std::string& path)> on_sync;
 };
 
 /// Env wrapper that injects I/O errors at a configured rate and counts

@@ -844,8 +844,9 @@ Status QueueRepository::CommitAcross(txn::TxnId id,
   // Phase 2, under every involved lock: the coordinator logs the
   // decision — one committed record carrying the id and its own part —
   // and applies its part; every other part is marked decided (so a
-  // checkpoint re-logs it as committed); every shard takes its
-  // replication ticket, so deliveries sharing shards stay ordered.
+  // checkpoint re-logs it as committed and a replica seed ships it);
+  // every shard takes its replication ticket, so deliveries sharing
+  // shards stay ordered.
   CommitHandoff h;
   std::vector<MicroOp> all;  // Every part, for the one replicated record.
   const bool gather = spanning && record.empty() &&
@@ -902,6 +903,13 @@ Status QueueRepository::CommitAcross(txn::TxnId id,
                     << synced.ToString();
     return synced;
   }
+  // Deliver the one replicated record before phase 3 takes any shard
+  // lock again: a replica seed holds every lock while it drains the
+  // undelivered tickets, so holding them into phase 3 would deadlock
+  // with it. A seed cut before phase 3 ships the decided parts itself
+  // (EncodeShardState), so it still equals the records it precedes.
+  Status replicated = DeliverReplica(h.tickets, h.record);
+  h.tickets.clear();
 
   // Phase 3: each other shard logs an unsynced commit marker and
   // applies its part under the same lock, so its WAL holds the marker
@@ -926,7 +934,8 @@ Status QueueRepository::CommitAcross(txn::TxnId id,
     for (const MicroOp& op : part.ops) ApplyMicroOp(s, op, &h.notify);
     s->ReleaseLocked(id, part);
   }
-  return FinishCommit(std::move(h), evaluate_reactions);
+  Status finished = FinishCommit(std::move(h), evaluate_reactions);
+  return replicated.ok() ? finished : replicated;
 }
 
 Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
@@ -1402,6 +1411,16 @@ void QueueRepository::EncodeShardState(const Shard& s, bool checkpoint,
       trigs.push_back(std::move(op));
     }
     emit(trigs);
+  }
+  if (!checkpoint) {
+    // A cross-shard commit delivers its record before phase 3 applies
+    // the other shards' parts, so a seed cut in between ships those
+    // decided parts itself: the seed must equal every record up to its
+    // barrier, and that record is one of them. (A checkpoint re-logs
+    // them into the new WAL instead.)
+    for (const auto& [id, pt] : s.txns) {
+      if (pt.decided && !pt.ops.empty()) emit(pt.ops);
+    }
   }
   if (checkpoint) {
     // Always present, so even an empty slice carries the eid

@@ -538,7 +538,9 @@ class QueueRepository final : public txn::StoreHost {
   // trigger's own replication can't overtake the record that fired it.
   void EvaluateReactions(const std::vector<std::string>& notify_queues);
   // Reserves the next delivery slot on `s` (its lock must be held, so
-  // ticket order == apply order).
+  // ticket order == apply order). A thread holding undelivered tickets
+  // must not take a shard lock again: CaptureReplicaSnapshot waits for
+  // every ticket while it holds all of them.
   ReplTicket AcquireReplTicket(Shard* s);
   // The delivery slot on `s` that every commit staged so far precedes
   // (0 without a sink). A read that hands committed state to a caller
@@ -559,7 +561,8 @@ class QueueRepository final : public txn::StoreHost {
   void BuildShards(size_t count);
   Status OpenShardWal(Shard* s, uint64_t generation);
   // Appends a shard's state as committed records. A replica seed
-  // carries volatile queues' elements; a checkpoint leaves them out
+  // carries volatile queues' elements and the decided parts that a
+  // cross-shard commit has yet to apply; a checkpoint leaves both out
   // and adds the applied replication watermark.
   void EncodeShardState(const Shard& s, bool checkpoint,
                         std::vector<std::string>* records) const;

@@ -1,12 +1,23 @@
 #include "server/exec_backend.h"
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 namespace rrq::server {
 
 Status ExecBackend::Open(env::Env* env, const std::string& dir,
                          queue::RepositoryOptions repo_options) {
   RRQ_RETURN_IF_ERROR(env->CreateDirIfMissing(dir));
+  // A database in <dir>/db kept its own WAL; its state is not in the
+  // queue log, so opening past it would restart every count at zero.
+  std::vector<std::string> standalone;
+  if (env->GetChildren(dir + "/db", &standalone).ok() &&
+      !standalone.empty()) {
+    return Status::FailedPrecondition(
+        dir + "/db holds a standalone database; the hosted one cannot "
+              "take over its state");
+  }
   txn::TxnManagerOptions txn_options;
   txn_options.env = env;
   txn_options.dir = dir + "/txn";

@@ -27,7 +27,9 @@ class ExecBackend {
 
   /// Opens (recovering) every component under `dir`. `repo_options`
   /// supplies the shard count, sync options and replication sink; its
-  /// env, dir and in-doubt resolver are set here.
+  /// env, dir and in-doubt resolver are set here. Fails with
+  /// FailedPrecondition when <dir>/db holds files: a standalone
+  /// database with its own WAL, whose state the hosted one lacks.
   Status Open(env::Env* env, const std::string& dir,
               queue::RepositoryOptions repo_options);
 

@@ -386,21 +386,22 @@ Status KvStore::CommitTxn(txn::TxnId id) {
 
 Status KvStore::PrepareAndCommit(txn::TxnId id) {
   std::string record;
-  WriteSet ws;
   {
     MutexLock guard(mu_);
     auto it = pending_.find(id);
+    WriteSet& ws = committing_[id];
     if (it != pending_.end()) {
       ws = std::move(it->second);
       pending_.erase(it);
     }
+    EncodeWriteSet(id, ws, kRecCommitted, &record);
   }
-  EncodeWriteSet(id, ws, kRecCommitted, &record);
   Status s = LogAndMaybeSync(record, options_.sync_commits);
-  if (!s.ok()) return s;
   MutexLock guard(mu_);
-  ApplyLocked(ws);
-  return Status::OK();
+  auto it = committing_.find(id);
+  if (s.ok()) ApplyLocked(it->second);
+  committing_.erase(it);
+  return s;
 }
 
 void KvStore::AbortTxn(txn::TxnId id) {
@@ -479,7 +480,8 @@ Status KvStore::Checkpoint() {
       env::WriteStringToFileSync(env, snapshot, CheckpointPath(next_gen)));
 
   // 2. Fresh WAL, re-logging in-flight prepares so in-doubt
-  //    transactions stay resolvable.
+  //    transactions stay resolvable, and in-flight one-phase commits,
+  //    which the snapshot does not hold yet.
   std::unique_ptr<env::WritableFile> file;
   RRQ_RETURN_IF_ERROR(env->NewWritableFile(WalPath(next_gen), &file));
   auto new_wal = std::make_shared<wal::LogWriter>(std::move(file), 0,
@@ -487,6 +489,11 @@ Status KvStore::Checkpoint() {
   for (const auto& [id, ws] : prepared_) {
     std::string record;
     EncodeWriteSet(id, ws, kRecPrepare, &record);
+    RRQ_RETURN_IF_ERROR(new_wal->AddRecord(record));
+  }
+  for (const auto& [id, ws] : committing_) {
+    std::string record;
+    EncodeWriteSet(id, ws, kRecCommitted, &record);
     RRQ_RETURN_IF_ERROR(new_wal->AddRecord(record));
   }
   RRQ_RETURN_IF_ERROR(new_wal->Sync());

@@ -197,6 +197,10 @@ class KvStore final : public txn::ResourceManager, public txn::HostedStore {
   std::unordered_map<txn::TxnId, WriteSet> pending_ GUARDED_BY(mu_);
   // Voted yes.
   std::unordered_map<txn::TxnId, WriteSet> prepared_ GUARDED_BY(mu_);
+  // One-phase commits between their append and their apply. A
+  // checkpoint in that window re-logs them as committed, since their
+  // record stays behind in the retired WAL.
+  std::unordered_map<txn::TxnId, WriteSet> committing_ GUARDED_BY(mu_);
   uint64_t generation_ GUARDED_BY(mu_) = 0;
   // Swapped by Checkpoint(); committers snapshot the shared_ptr under
   // mu_ and append outside it (LogWriter is internally synchronized;

@@ -17,12 +17,12 @@
 #include <string>
 
 #include "client/clerk.h"
+#include "env/faulty_env.h"
 #include "env/mem_env.h"
 #include "queue/envelope.h"
 #include "queue/queue_api.h"
 #include "server/exec_backend.h"
 #include "server/server.h"
-#include "testing/sync_hook_env.h"
 
 namespace rrq {
 namespace {
@@ -99,13 +99,19 @@ class ForceCountTest : public ::testing::Test {
     }
   }
 
+  env::FaultConfig CountSyncsPerFile() {
+    env::FaultConfig config;
+    config.on_sync = [this](const std::string& path) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++syncs_[path];
+    };
+    return config;
+  }
+
   env::MemEnv mem_;
   std::mutex mu_;
   std::map<std::string, int> syncs_;
-  testing::SyncHookEnv env_{&mem_, [this](const std::string& path) {
-                              std::lock_guard<std::mutex> lock(mu_);
-                              ++syncs_[path];
-                            }};
+  env::FaultyEnv env_{&mem_, CountSyncsPerFile()};
   server::ExecBackend backend_;
   std::unique_ptr<queue::LocalQueueApi> api_;
 };

@@ -1,5 +1,11 @@
 #include "queue/queue_repository.h"
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,7 +15,6 @@
 #include "env/faulty_env.h"
 #include "env/mem_env.h"
 #include "storage/kv_store.h"
-#include "testing/sync_hook_env.h"
 #include "txn/txn_manager.h"
 #include "util/coding.h"
 
@@ -1081,7 +1086,6 @@ class ShardedRepositoryTest : public ::testing::Test {
   std::unique_ptr<txn::TransactionManager> txn_mgr_;
   std::unique_ptr<QueueRepository> repo_;
   int name_seq_ = 0;
-  int syncs_ = 0;
 };
 
 TEST_F(ShardedRepositoryTest, CrossShardTransactionCommitsAtomically) {
@@ -1155,13 +1159,15 @@ TEST_F(ShardedRepositoryTest, CheckpointBetweenDecisionAndMarkerKeepsTxnWhole) {
   const std::string qb = NameOnShard(2);  // The coordinator: last shard.
   bool armed = false;
   QueueRepository* live = nullptr;
-  testing::SyncHookEnv env(&env_, [&](const std::string& path) {
+  env::FaultConfig hook;
+  hook.on_sync = [&](const std::string& path) {
     // The decision's force: checkpoint before it completes.
     if (armed && path == "/ck/WAL-0-2") {
       armed = false;
       ASSERT_TRUE(live->Checkpoint().ok());
     }
-  });
+  };
+  env::FaultyEnv env(&env_, hook);
   auto open = [&](std::unique_ptr<QueueRepository>* repo,
                   std::unique_ptr<storage::KvStore>* db) {
     RepositoryOptions options;
@@ -1203,12 +1209,106 @@ TEST_F(ShardedRepositoryTest, CheckpointBetweenDecisionAndMarkerKeepsTxnWhole) {
   EXPECT_TRUE(counted);
 }
 
+// A replica seed against a cross-shard commit in flight. The commit
+// holds replication tickets on both shards from its decision until it
+// delivers its one record; the seed holds every shard lock while it
+// waits for those deliveries. The commit must deliver before it takes
+// a shard lock again (phase 3), and the seed, cut before phase 3, must
+// then ship the other shard's decided part itself.
+TEST_F(ShardedRepositoryTest, ReplicaSeedDuringCrossShardCommitHoldsEveryPart) {
+  const std::string qa = NameOnShard(0);
+  const std::string qb = NameOnShard(2);  // The coordinator: last shard.
+  std::atomic<bool> armed{false};
+  std::promise<void> at_decision;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  env::FaultConfig hook;
+  hook.on_sync = [&](const std::string& path) {
+    // Hold the decision's force until the seed is waiting on it.
+    if (path == "/rs/WAL-0-2" && armed.exchange(false)) {
+      at_decision.set_value();
+      released.wait();
+    }
+  };
+  env::FaultyEnv env(&env_, hook);
+  std::mutex shipped_mu;
+  std::vector<std::string> shipped;
+  RepositoryOptions options;
+  options.env = &env;
+  options.dir = "/rs";
+  options.shards = 4;
+  options.replication_sink = [&](const Slice& record) {
+    std::lock_guard<std::mutex> lock(shipped_mu);
+    shipped.push_back(record.ToString());
+    return Status::OK();
+  };
+  QueueRepository repo("rs", options);
+  storage::KvStoreOptions db_options;
+  db_options.host = &repo;
+  storage::KvStore db("db", db_options);
+  ASSERT_TRUE(repo.Open().ok());
+  ASSERT_TRUE(repo.CreateQueue(qa).ok());
+  ASSERT_TRUE(repo.CreateQueue(qb).ok());
+  ASSERT_TRUE(repo.Enqueue(nullptr, qa, "request").ok());
+
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo.Dequeue(txn.get(), qa).ok());
+  ASSERT_TRUE(db.Put(txn.get(), "exec/1", "1").ok());
+  ASSERT_TRUE(repo.Enqueue(txn.get(), qb, "reply").ok());
+  armed = true;
+  auto commit = std::async(std::launch::async, [&] { return txn->Commit(); });
+  at_decision.get_future().wait();
+
+  std::atomic<bool> at_barrier{false};
+  size_t barrier = 0;
+  std::vector<std::string> seed;
+  auto capture = std::async(std::launch::async, [&] {
+    return repo.CaptureReplicaSnapshot(
+        [&] {
+          std::lock_guard<std::mutex> lock(shipped_mu);
+          barrier = shipped.size();
+          at_barrier = true;
+        },
+        &seed);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(at_barrier) << "the seed did not wait for the delivery";
+  release.set_value();
+  const auto deadline = std::chrono::seconds(20);
+  if (commit.wait_for(deadline) != std::future_status::ready ||
+      capture.wait_for(deadline) != std::future_status::ready) {
+    // Both threads are stuck for good; end the run instead of hanging.
+    std::fprintf(stderr, "deadlock: cross-shard commit vs replica seed\n");
+    std::_Exit(1);
+  }
+  ASSERT_TRUE(commit.get().ok());
+  ASSERT_TRUE(capture.get().ok());
+  EXPECT_EQ(*repo.Depth(qa), 0u);
+  EXPECT_EQ(*repo.Depth(qb), 1u);
+
+  // The seed followed by the records after its barrier reproduces the
+  // primary: the request gone, the reply there, the write counted.
+  QueueRepository standby("standby");
+  storage::KvStoreOptions standby_db_options;
+  standby_db_options.host = &standby;
+  storage::KvStore standby_db("db", standby_db_options);
+  ASSERT_TRUE(standby.Open().ok());
+  for (const std::string& record : seed) {
+    ASSERT_TRUE(standby.ApplyReplicatedRecord(Slice(record)).ok());
+  }
+  for (size_t i = barrier; i < shipped.size(); ++i) {
+    ASSERT_TRUE(standby.ApplyReplicatedRecord(Slice(shipped[i])).ok());
+  }
+  EXPECT_EQ(*standby.Depth(qa), 0u);
+  EXPECT_EQ(*standby.Depth(qb), 1u);
+  EXPECT_EQ(*standby_db.GetCommitted("exec/1"), "1");
+}
+
 // A hosted store's writes commit in the coordinator's record: a
 // spanning transaction forces once per shard it touches, and the
 // store recovers from the repository's log alone.
 TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
-  testing::SyncHookEnv::Hook count = [this](const std::string&) { ++syncs_; };
-  testing::SyncHookEnv env(&env_, count);
+  env::FaultyEnv env(&env_);
   RepositoryOptions options;
   options.env = &env;
   options.dir = "/hs";
@@ -1224,7 +1324,7 @@ TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
   ASSERT_TRUE(repo->CreateQueue(qb).ok());
   ASSERT_TRUE(repo->Enqueue(nullptr, qa, "x").ok());
 
-  syncs_ = 0;
+  uint64_t before = env.sync_count();
   auto txn = txn_mgr_->Begin();
   ASSERT_TRUE(repo->Dequeue(txn.get(), qa).ok());
   ASSERT_TRUE(db->Put(txn.get(), "k", "v").ok());
@@ -1232,15 +1332,16 @@ TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
   ASSERT_TRUE(db->Delete(txn.get(), "gone").ok());
   ASSERT_TRUE(repo->Enqueue(txn.get(), qb, "y").ok());
   ASSERT_TRUE(txn->Commit().ok());
-  EXPECT_EQ(syncs_, 2);  // Shard 1's prepare, shard 3's decision.
+  // Shard 1's prepare, shard 3's decision.
+  EXPECT_EQ(env.sync_count() - before, 2u);
   EXPECT_EQ(*db->GetCommitted("k"), "v");
 
   // A transaction that writes only the store still commits (one force).
-  syncs_ = 0;
+  before = env.sync_count();
   auto solo = txn_mgr_->Begin();
   ASSERT_TRUE(db->Put(solo.get(), "solo", "1").ok());
   ASSERT_TRUE(solo->Commit().ok());
-  EXPECT_EQ(syncs_, 1);
+  EXPECT_EQ(env.sync_count() - before, 1u);
 
   db.reset();
   repo.reset();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "env/mem_env.h"
+#include "server/exec_backend.h"
 #include "storage/kv_store.h"
 
 namespace rrq::server {
@@ -228,6 +229,21 @@ TEST_F(ServerTest, SchedulerSelectsByContent) {
   EXPECT_EQ(service_order[0], "9500");
   EXPECT_EQ(service_order[1], "700");
   EXPECT_EQ(service_order[2], "120");
+}
+
+// A state directory from before the database was hosted on the queue
+// repository keeps the database's own WAL in <dir>/db. Its counts are
+// not in the queue log, so the back end refuses to open past them.
+TEST(ExecBackendTest, RefusesAStandaloneDatabaseDirectory) {
+  env::MemEnv env;
+  {
+    ExecBackend fresh;
+    ASSERT_TRUE(fresh.Open(&env, "/d", queue::RepositoryOptions{}).ok());
+  }
+  ASSERT_TRUE(env::WriteStringToFileSync(&env, "x", "/d/db/WAL-0").ok());
+  ExecBackend upgraded;
+  EXPECT_TRUE(upgraded.Open(&env, "/d", queue::RepositoryOptions{})
+                  .IsFailedPrecondition());
 }
 
 }  // namespace
