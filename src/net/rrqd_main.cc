@@ -27,7 +27,12 @@
 // reveals exactly how many times each request executed, which is what
 // the cross-process exactly-once test verifies. The store has no files
 // of its own: its writes ride the queue log (server::ExecBackend), so
-// a server transaction forces once per queue shard it touches.
+// a server transaction forces once, however many queue shards it
+// touches.
+//
+// Fail-stop: when an append or sync fails on a queue WAL, rrqd prints
+// "rrqd: fail-stop shard=<i> error=<status>" on stderr within 50 ms and
+// exits 1; a restart recovers what the log holds.
 //
 // Replication: "--role primary --replicate-to H:P" ships every
 // committed record to the backup daemon's replication listener at
@@ -425,6 +430,16 @@ int main(int argc, char** argv) {
 
   while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Fail-stop: a poisoned queue WAL can no longer vouch for what it
+    // acknowledges, and memory may hold effects the log lost. Stop at
+    // once and let restart recovery decide what is durable.
+    size_t shard = 0;
+    if (Status wal = repo.wal_error(&shard); !wal.ok()) {
+      std::fprintf(stderr, "rrqd: fail-stop shard=%zu error=%s\n", shard,
+                   wal.ToString().c_str());
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
   }
 
   std::printf("rrqd: shutting down\n");

@@ -195,7 +195,9 @@ struct QueueRepository::Shard {
 
   // Whether any micro-op touches a durable queue (or repo metadata).
   bool NeedsLogging(const std::vector<MicroOp>& ops) const REQUIRES(mu) {
-    if (wal == nullptr) return false;
+    return wal != nullptr && Durable(ops);
+  }
+  bool Durable(const std::vector<MicroOp>& ops) const REQUIRES(mu) {
     for (const MicroOp& op : ops) {
       switch (op.kind) {
         case MicroOp::kInsert:
@@ -237,18 +239,21 @@ struct QueueRepository::Shard {
   // applied (its kRemove ops already deleted the dequeued ones).
   void ReleaseLocked(txn::TxnId id, const PendingTxn& pt) REQUIRES(mu);
 
-  // This shard's part of a two-phase commit (bodies below, after the
-  // repo helpers). Prepare is the one vote: it logs the part as a
-  // durable prepare record, and says through `logged` whether it did.
-  Status Prepare(txn::TxnId id, bool* logged = nullptr);
+  // This shard's part of an outside coordinator's two-phase commit
+  // (bodies below, after the repo helpers). Prepare is the one vote: it
+  // logs the part as a durable prepare record.
+  Status Prepare(txn::TxnId id);
   Status CommitTxn(txn::TxnId id);
   void AbortTxn(txn::TxnId id);
 };
 
-// Per-shard recovery scratch: leftover prepared transactions in WAL
-// order, and every commit-record id seen (merged across shards to
-// resolve cross-shard internal commits atomically).
+// Per-shard recovery scratch: this shard's parts of the cross-shard
+// commits that another shard's record decided (filled by the first
+// recovery pass), leftover prepared transactions in WAL order, and
+// every commit-record id seen (merged across shards to resolve an
+// outside coordinator's prepares).
 struct QueueRepository::ShardRecovery {
+  DecidedParts decided;
   std::vector<txn::TxnId> prepared_order;
   std::unordered_map<txn::TxnId, std::vector<MicroOp>> prepared;
   std::unordered_set<txn::TxnId> committed;
@@ -272,9 +277,13 @@ void QueueRepository::BuildShards(size_t count) {
 
 size_t QueueRepository::ShardIndexOf(const std::string& queue) const {
   if (shards_.size() <= 1) return 0;
-  // FNV-1a: stable across processes and standard libraries, so a queue
-  // recovers onto the same shard (and the same WAL stream) that logged
-  // it. std::hash carries no such guarantee.
+  // FNV-1a with a nonstandard seed: stable across processes and
+  // standard libraries, so a queue recovers onto the same shard (and the
+  // same WAL stream) that logged it. std::hash carries no such
+  // guarantee. The seed is the 64-bit FNV offset basis
+  // 14695981039346656037 with its last digit dropped. It stays: every
+  // sharded directory on disk was laid out by it, and
+  // queue_repository_test pins the resulting placement.
   uint64_t h = 1469598103934665603ull;
   for (const char c : queue) {
     h ^= static_cast<unsigned char>(c);
@@ -409,11 +418,23 @@ Status QueueRepository::DecodeMicroOp(Slice* input, MicroOp* op) {
 void QueueRepository::EncodeRecord(unsigned char type, txn::TxnId id,
                                    const std::vector<MicroOp>& ops,
                                    std::string* out) const {
+  const std::vector<MicroOp>* parts[] = {&ops};
+  EncodeRecordParts(type, id, parts, out);
+}
+
+void QueueRepository::EncodeRecordParts(
+    unsigned char type, txn::TxnId id,
+    std::span<const std::vector<MicroOp>* const> parts,
+    std::string* out) const {
   out->push_back(static_cast<char>(type));
   util::PutFixed64(out, id);
   util::PutFixed64(out, next_eid_.load(std::memory_order_relaxed));
-  util::PutVarint64(out, ops.size());
-  for (const MicroOp& op : ops) EncodeMicroOp(op, out);
+  size_t count = 0;
+  for (const std::vector<MicroOp>* ops : parts) count += ops->size();
+  util::PutVarint64(out, count);
+  for (const std::vector<MicroOp>* ops : parts) {
+    for (const MicroOp& op : *ops) EncodeMicroOp(op, out);
+  }
 }
 
 Status QueueRepository::DecodeRecord(Slice input, Record* out) {
@@ -818,82 +839,63 @@ void QueueRepository::AttachRedo(txn::TxnId id,
 // the gcc/TSan builds, but this function body itself is unchecked.
 Status QueueRepository::CommitAcross(txn::TxnId id,
                                      std::vector<Shard*> involved,
-                                     std::string record,
                                      bool evaluate_reactions)
     NO_THREAD_SAFETY_ANALYSIS {
   Shard* const coord = involved.back();
   const bool spanning = involved.size() > 1;
-  auto abort_all = [&involved, id]() {
-    for (Shard* s : involved) s->AbortTxn(id);
-  };
 
-  // Phase 1: every shard but the coordinator votes with a durable
-  // prepare record of its part.
-  bool must_log = false;
-  for (Shard* s : involved) {
-    if (s == coord) break;
-    bool logged = false;
-    Status vote = s->Prepare(id, &logged);
-    if (!vote.ok()) {
-      abort_all();
-      return vote;
-    }
-    must_log = must_log || logged;
-  }
-
-  // Phase 2, under every involved lock: the coordinator logs the
-  // decision — one committed record carrying the id and its own part —
-  // and applies its part; every other part is marked decided (so a
-  // checkpoint re-logs it as committed and a replica seed ships it);
-  // every shard takes its replication ticket, so deliveries sharing
-  // shards stay ordered.
+  // Phase 1, under every involved lock: every part passes its
+  // killed-element veto; the coordinator logs the decision — one
+  // committed record carrying the id and every part — and applies its
+  // own part; every other part is marked decided (so a checkpoint
+  // re-logs it as committed and a replica seed ships it); every shard
+  // takes its replication ticket, so deliveries sharing shards stay
+  // ordered. The decision is also the one replicated record.
   CommitHandoff h;
-  std::vector<MicroOp> all;  // Every part, for the one replicated record.
-  const bool gather = spanning && record.empty() &&
-                      options_.replication_sink != nullptr;
   Status staged;
   {
     ShardLockSet locks;
     for (Shard* s : involved) locks.Add(&s->mu);
+    bool log = false;
+    std::vector<const std::vector<MicroOp>*> parts;
+    for (Shard* s : involved) {
+      const PendingTxn& part = s->txns[id];
+      staged = s->VetoKilled(part);
+      if (!staged.ok()) break;
+      log = log || s->NeedsLogging(part.ops);
+      parts.push_back(&part.ops);
+    }
     PendingTxn& pt = coord->txns[id];
-    staged = coord->VetoKilled(pt);
     if (staged.ok()) {
       std::string decision;
-      if (spanning) {
-        if (coord->wal != nullptr) {
-          EncodeRecord(kRecCommitted, id, pt.ops, &decision);
-        }
-      } else {
-        decision = std::move(record);
+      if (spanning && (log || options_.replication_sink != nullptr)) {
+        // The decision stamp: drawing an eid under the locks makes the
+        // record's eid watermark strictly greater than that of every
+        // decision that held one of these locks before. Recovery
+        // applies parts whose markers were lost in this order.
+        next_eid_.fetch_add(1, std::memory_order_relaxed);
+        EncodeRecordParts(kRecCommitted, id, parts, &decision);
       }
-      staged = StageCommitLocked(coord, pt.ops, std::move(decision), &h,
-                                 must_log);
+      staged = StageCommitLocked(coord, pt.ops, std::move(decision), &h, log);
     }
     if (staged.ok()) {
       for (Shard* s : involved) {
         if (s == coord) continue;
-        PendingTxn& part = s->txns[id];
-        part.decided = true;
-        if (gather) all.insert(all.end(), part.ops.begin(), part.ops.end());
+        s->txns[id].decided = true;
         if (options_.replication_sink != nullptr) {
           h.tickets.push_back(AcquireReplTicket(s));
         }
       }
-      if (gather) all.insert(all.end(), pt.ops.begin(), pt.ops.end());
       coord->ReleaseLocked(id, pt);
       coord->txns.erase(id);
     }
   }
   if (!staged.ok()) {
-    abort_all();
+    for (Shard* s : involved) s->AbortTxn(id);
     return staged;
   }
   if (!spanning) return FinishCommit(std::move(h), evaluate_reactions);
 
-  if (!h.tickets.empty()) {
-    h.record = std::move(record);
-    if (gather) EncodeRecord(kRecCommitted, txn::kInvalidTxnId, all, &h.record);
-  }
   // The decision is durable before any marker exists: a durable marker
   // without it would commit one part alone.
   Status synced = SyncCommit(&h);
@@ -903,17 +905,18 @@ Status QueueRepository::CommitAcross(txn::TxnId id,
                     << synced.ToString();
     return synced;
   }
-  // Deliver the one replicated record before phase 3 takes any shard
+  // Deliver the one replicated record before phase 2 takes any shard
   // lock again: a replica seed holds every lock while it drains the
-  // undelivered tickets, so holding them into phase 3 would deadlock
-  // with it. A seed cut before phase 3 ships the decided parts itself
+  // undelivered tickets, so holding them into phase 2 would deadlock
+  // with it. A seed cut before phase 2 ships the decided parts itself
   // (EncodeShardState), so it still equals the records it precedes.
   Status replicated = DeliverReplica(h.tickets, h.record);
   h.tickets.clear();
 
-  // Phase 3: each other shard logs an unsynced commit marker and
+  // Phase 2: each other shard logs an unsynced commit marker and
   // applies its part under the same lock, so its WAL holds the marker
-  // before any record that depends on the part.
+  // before any record that depends on the part. Recovery applies the
+  // part, read from the decision, at the marker.
   std::string marker;
   EncodeRecord(kRecCommit, id, {}, &marker);
   for (Shard* s : involved) {
@@ -947,24 +950,24 @@ Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
       std::any_of(ops.begin(), ops.end(), [this, first](const MicroOp& op) {
         return ShardIndexOf(op.queue) != first;
       });
-  // Encode the record outside the shard locks, and only when something
-  // reads it: a single-shard commit logs it when the repository is
-  // durable, a spanning one logs per-shard parts instead, and the
-  // replication sink ships it either way. The eid watermark in the
-  // record is safe to read here because every eid in `ops` was
-  // allocated before this call.
-  if (record.empty() && (options_.replication_sink != nullptr ||
-                         (!spanning && options_.env != nullptr))) {
-    EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
-  }
   if (!spanning) {
+    // Encode the record outside the shard lock, and only when something
+    // reads it: the WAL of a durable repository or the replication
+    // sink. The eid watermark in the record is safe to read here
+    // because every eid in `ops` was allocated before this call.
+    if (record.empty() &&
+        (options_.replication_sink != nullptr || options_.env != nullptr)) {
+      EncodeRecord(kRecCommitted, txn::kInvalidTxnId, ops, &record);
+    }
     return CommitOnShard(shards_[first].get(), std::move(ops),
                          std::move(record), evaluate_reactions);
   }
-  // The internal commit id. Drawing it from the eid counter guarantees
-  // uniqueness against every id this repository will ever log (the
-  // counter recovers past the WAL watermark); the high bit keeps it
-  // out of the TransactionManager's id space.
+  // A spanning commit encodes its own decision record (CommitAcross),
+  // which it logs and ships in place of `record`. Its internal commit
+  // id comes from the eid counter, which guarantees uniqueness against
+  // every id this repository will ever log (the counter recovers past
+  // the WAL watermark); the high bit keeps it out of the
+  // TransactionManager's id space.
   const txn::TxnId iid =
       kInternalTxnBit | next_eid_.fetch_add(1, std::memory_order_relaxed);
   std::map<size_t, std::vector<MicroOp>> by_shard;
@@ -978,8 +981,7 @@ Status QueueRepository::AutoCommit(std::vector<MicroOp> ops,
     s->txns[iid].ops = std::move(part);
     involved.push_back(s);
   }
-  return CommitAcross(iid, std::move(involved), std::move(record),
-                      evaluate_reactions);
+  return CommitAcross(iid, std::move(involved), evaluate_reactions);
 }
 
 void QueueRepository::BufferTxnOps(txn::Transaction* t,
@@ -1010,7 +1012,7 @@ void QueueRepository::BufferTxnOps(txn::Transaction* t,
 // ---------------------------------------------------------------------------
 // Shard as a 2PC participant
 
-Status QueueRepository::Shard::Prepare(txn::TxnId id, bool* logged) {
+Status QueueRepository::Shard::Prepare(txn::TxnId id) {
   QueueRepository* r = repo;
   MutexLock lock(mu);
   auto it = txns.find(id);
@@ -1032,7 +1034,6 @@ Status QueueRepository::Shard::Prepare(txn::TxnId id, bool* logged) {
   }
   pt.prepared = true;
   lock.Unlock();
-  if (logged != nullptr) *logged = log;
   if (log) return w->SyncTo(end_offset);  // A yes vote must be durable.
   return Status::OK();
 }
@@ -1222,8 +1223,7 @@ Status QueueRepository::PrepareAndCommit(txn::TxnId id) {
   std::vector<Shard*> involved = InvolvedShards(id);
   AttachRedo(id, &involved);
   if (involved.empty()) return Status::OK();
-  return CommitAcross(id, std::move(involved), "",
-                      /*evaluate_reactions=*/true);
+  return CommitAcross(id, std::move(involved), /*evaluate_reactions=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1413,7 +1413,7 @@ void QueueRepository::EncodeShardState(const Shard& s, bool checkpoint,
     emit(trigs);
   }
   if (!checkpoint) {
-    // A cross-shard commit delivers its record before phase 3 applies
+    // A cross-shard commit delivers its record before phase 2 applies
     // the other shards' parts, so a seed cut in between ships those
     // decided parts itself: the seed must equal every record up to its
     // barrier, and that record is one of them. (A checkpoint re-logs
@@ -1892,11 +1892,13 @@ Result<bool> QueueRepository::KillElement(txn::Transaction* t,
     return true;
   }
 
-  // Locked by an uncommitted dequeuer. If it already voted yes we can
-  // no longer unilaterally abort it (§7's "not yet committed" window
-  // closes at prepare).
+  // Locked by an uncommitted dequeuer. If it already voted yes, or a
+  // cross-shard decision already committed it, we can no longer
+  // unilaterally abort it (§7's "not yet committed" window closes at
+  // prepare, or at the decision).
   auto tit = s->txns.find(ie.locked_by);
-  if (tit != s->txns.end() && tit->second.prepared) {
+  if (tit != s->txns.end() &&
+      (tit->second.prepared || tit->second.decided)) {
     return false;
   }
   // Durably delete now; the dequeuer's prepare will find the element
@@ -2012,39 +2014,47 @@ Status QueueRepository::Open() {
     remove_failures_.fetch_add(gc.failures, std::memory_order_relaxed);
   }
   if (have_current) {
-    std::vector<ShardRecovery> recs(shards_.size());
-    if (shards_.size() == 1) {
-      RRQ_RETURN_IF_ERROR(
-          RecoverShard(shards_[0].get(), generation_, &recs[0]));
-    } else {
-      // Each shard's checkpoint slice and WAL are independent: recover
-      // them in parallel. The recovery threads get the generation by
-      // value — they must not touch generation_ (guarded by
-      // checkpoint_mu_, which this thread holds).
-      const uint64_t gen = generation_;
+    // Shards recover in parallel, in two passes. The recovery threads
+    // get the generation by value — they must not touch generation_
+    // (guarded by checkpoint_mu_, which this thread holds).
+    const uint64_t gen = generation_;
+    auto each_shard = [this](const std::function<Status(size_t)>& fn) {
+      if (shards_.size() == 1) return fn(0);
       std::vector<Status> statuses(shards_.size());
       std::vector<std::thread> threads;
       threads.reserve(shards_.size());
       for (size_t i = 0; i < shards_.size(); ++i) {
-        threads.emplace_back([this, i, gen, &recs, &statuses] {
-          statuses[i] = RecoverShard(shards_[i].get(), gen, &recs[i]);
-        });
+        threads.emplace_back([&fn, &statuses, i] { statuses[i] = fn(i); });
       }
       for (std::thread& th : threads) th.join();
       for (const Status& st : statuses) RRQ_RETURN_IF_ERROR(st);
+      return Status::OK();
+    };
+    std::vector<ShardRecovery> recs(shards_.size());
+    if (shards_.size() > 1) {
+      // Pass 1: a cross-shard commit logs every part in its
+      // coordinator's decision record, so collect each shard's parts
+      // from the other shards' WALs before any shard replays.
+      std::vector<std::vector<DecidedParts>> found(shards_.size());
+      RRQ_RETURN_IF_ERROR(each_shard([this, gen, &found](size_t i) {
+        found[i].resize(shards_.size());
+        return ReadDecidedParts(i, gen, &found[i]);
+      }));
+      for (std::vector<DecidedParts>& from : found) {
+        for (size_t j = 0; j < from.size(); ++j) recs[j].decided.merge(from[j]);
+      }
     }
-    // Resolve leftover prepares. A cross-shard commit (CommitAcross)
-    // makes every other part a durable prepare before the coordinator
-    // logs its one committed record carrying the id, and appends the
-    // other shards' commit markers only once that record is durable.
-    // So the union of ids from coordinator records and markers decides
-    // atomically: a surviving decision commits every part, and without
-    // one no part was ever logged as committed (the coordinator's part
-    // lived only in the lost record). A checkpoint cut between the
-    // decision and a marker re-logged that part as committed. Only
-    // external ids consult the in-doubt resolver, which knows the
-    // outside coordinator's 2PC decisions; a one-phase or internal
-    // commit without a surviving decision is presumed aborted.
+    // Pass 2: each shard loads its checkpoint slice and replays its WAL.
+    RRQ_RETURN_IF_ERROR(each_shard([this, gen, &recs](size_t i) {
+      return RecoverShard(shards_[i].get(), gen, &recs[i]);
+    }));
+    // Resolve leftover prepares: an outside coordinator's 2PC logs a
+    // prepare and later a commit marker on each involved shard, so a
+    // marker on any shard commits every shard's part. Without one the
+    // in-doubt resolver, which knows the outside coordinator's
+    // decisions, settles external ids; an internal id (a repository
+    // directory written before decisions carried every part) without a
+    // surviving decision is presumed aborted.
     std::unordered_set<txn::TxnId> committed;
     for (const ShardRecovery& rec : recs) {
       committed.insert(rec.committed.begin(), rec.committed.end());
@@ -2129,6 +2139,39 @@ Status QueueRepository::LoadShardCheckpoint(Shard* s, uint64_t generation) {
   return Status::OK();
 }
 
+Status QueueRepository::ReadDecidedParts(
+    size_t shard, uint64_t generation,
+    std::vector<DecidedParts>* parts) const {
+  env::Env* env = options_.env;
+  const std::string path = WalPath(generation, shard);
+  if (!env->FileExists(path)) return Status::OK();
+  std::unique_ptr<env::SequentialFile> file;
+  RRQ_RETURN_IF_ERROR(env->NewSequentialFile(path, &file));
+  wal::LogReader reader(std::move(file));
+  Slice record;
+  std::string scratch;
+  Record r;
+  while (reader.ReadRecord(&record, &scratch)) {
+    // Only a decision — a committed record carrying an id — holds other
+    // shards' parts; every other record is skipped undecoded (the type
+    // byte and the fixed64 id lead every record).
+    if (record.size() < 1 + 8 ||
+        static_cast<unsigned char>(record[0]) != kRecCommitted ||
+        util::DecodeFixed64(record.data() + 1) == txn::kInvalidTxnId) {
+      continue;
+    }
+    RRQ_RETURN_IF_ERROR(DecodeRecord(record, &r));
+    for (MicroOp& op : r.ops) {
+      const size_t to = ShardIndexOf(op.queue);
+      if (to == shard) continue;
+      DecidedPart& part = (*parts)[to][r.id];
+      part.stamp = r.eid_watermark;
+      part.ops.push_back(std::move(op));
+    }
+  }
+  return Status::OK();
+}
+
 Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
                                        ShardRecovery* rec) {
   RRQ_RETURN_IF_ERROR(LoadShardCheckpoint(s, generation));
@@ -2150,10 +2193,17 @@ Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
     AdvanceEid(r.eid_watermark);
     const txn::TxnId id = r.id;
     if (r.type == kRecCommitted) {
-      // A cross-shard coordinator's record carries the id: it is the
-      // decision for the other shards' prepares.
-      if (id != txn::kInvalidTxnId) rec->committed.insert(id);
-      for (const MicroOp& op : r.ops) ApplyMicroOp(s, op, nullptr);
+      // A cross-shard decision carries the id and every part; only this
+      // shard's part applies here, the others at their shards' markers.
+      // Its id also commits the prepares that directories written before
+      // decisions carried every part hold for the other parts.
+      const bool decision = id != txn::kInvalidTxnId;
+      if (decision) rec->committed.insert(id);
+      for (const MicroOp& op : r.ops) {
+        if (!decision || ShardIndexOf(op.queue) == s->index) {
+          ApplyMicroOp(s, op, nullptr);
+        }
+      }
     } else if (r.type == kRecPrepare) {
       if (rec->prepared.find(id) == rec->prepared.end()) {
         rec->prepared_order.push_back(id);
@@ -2168,9 +2218,32 @@ Status QueueRepository::RecoverShard(Shard* s, uint64_t generation,
         for (const MicroOp& op : it->second) ApplyMicroOp(s, op, nullptr);
         rec->prepared.erase(it);
       }
+      // The marker of a part decided in another shard's record: every
+      // record after it here may depend on the part.
+      auto dit = rec->decided.find(id);
+      if (dit != rec->decided.end()) {
+        for (const MicroOp& op : dit->second.ops) ApplyMicroOp(s, op, nullptr);
+        rec->decided.erase(dit);
+      }
     } else {
       return Status::Corruption("unknown repository WAL record type");
     }
+  }
+  // Decided parts whose markers never became durable. No durable record
+  // here depends on one (it would follow the marker), but a later
+  // decision may: apply them last, in decision order. A part of only
+  // volatile element traffic never logs a marker, and is lost with the
+  // crash like the rest of that traffic.
+  std::vector<const DecidedPart*> lost;
+  for (const auto& [id, part] : rec->decided) {
+    if (s->Durable(part.ops)) lost.push_back(&part);
+  }
+  std::sort(lost.begin(), lost.end(),
+            [](const DecidedPart* a, const DecidedPart* b) {
+              return a->stamp < b->stamp;
+            });
+  for (const DecidedPart* part : lost) {
+    for (const MicroOp& op : part->ops) ApplyMicroOp(s, op, nullptr);
   }
   return Status::OK();
 }
@@ -2203,17 +2276,20 @@ Status QueueRepository::Checkpoint() NO_THREAD_SAFETY_ANALYSIS {
     RRQ_RETURN_IF_ERROR(env->NewWritableFile(WalPath(next_gen, i), &file));
     auto new_wal = std::make_shared<wal::LogWriter>(std::move(file), 0,
                                                     options_.group_commit);
-    // Prepared transactions must survive the truncation: re-log each
-    // part into the new WAL. A part whose coordinator already logged
-    // the decision goes in as committed, because that decision stays
-    // behind in the retired generation (its effects are in the
-    // coordinator's slice); its marker, when it comes, finds nothing
-    // left to apply at replay.
+    // Prepared and decided parts must survive the truncation: re-log
+    // each into the new WAL. A part whose coordinator already logged the
+    // decision goes in as a committed record of its own, because that
+    // decision stays behind in the retired generation (its effects are
+    // in the coordinator's slice); its marker, when it comes, finds no
+    // decision to read at replay.
     for (const auto& [id, pt] : s->txns) {
-      if (!pt.prepared) continue;
+      if (!pt.prepared && !pt.decided) continue;
       std::string record;
-      EncodeRecord(pt.decided ? kRecCommitted : kRecPrepare, id, pt.ops,
-                   &record);
+      if (pt.decided) {
+        EncodeRecord(kRecCommitted, txn::kInvalidTxnId, pt.ops, &record);
+      } else {
+        EncodeRecord(kRecPrepare, id, pt.ops, &record);
+      }
       RRQ_RETURN_IF_ERROR(new_wal->AddRecord(record));
     }
     RRQ_RETURN_IF_ERROR(new_wal->Sync());
@@ -2256,6 +2332,19 @@ uint64_t QueueRepository::wal_bytes() const {
     if (s->wal != nullptr) total += s->wal->PhysicalSize();
   }
   return total;
+}
+
+Status QueueRepository::wal_error(size_t* shard) const {
+  for (const auto& s : shards_) {
+    MutexLock guard(s->mu);
+    if (s->wal == nullptr) continue;
+    Status error = s->wal->error();
+    if (!error.ok()) {
+      if (shard != nullptr) *shard = s->index;
+      return error;
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t QueueRepository::wal_sync_count() const {

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,8 +96,8 @@ struct TriggerSpec {
 /// touches. Its commit, and every internal cross-shard auto-commit
 /// (redirected tagged enqueues, cross-shard error-queue moves,
 /// replicated records), runs one coordinator-last protocol over the
-/// involved shard WALs (CommitAcross): one force per shard touched,
-/// resolved atomically by recovery. The eid counter is one
+/// involved shard WALs (CommitAcross): one force however many shards
+/// it touches, resolved atomically by recovery. The eid counter is one
 /// process-wide atomic, so element ids stay unique and monotonic
 /// across shards; it also stamps the hosted store's writes.
 ///
@@ -208,8 +209,8 @@ class QueueRepository final : public txn::StoreHost {
   /// duplicates. Nothing applies unless every record decodes. Ops keep
   /// their order within each queue, which is all a replica's state
   /// depends on, so the batch lands exactly as the records one by one
-  /// would, while the backup forces once per local shard the batch
-  /// touches instead of once per record.
+  /// would, while the backup forces once per batch instead of once per
+  /// record.
   Status ApplyReplicatedBatch(const std::vector<std::string>& records,
                               uint64_t first_seq);
 
@@ -254,9 +255,10 @@ class QueueRepository final : public txn::StoreHost {
   /// Number of shards (resolved at Open; on-disk count wins for
   /// durable directories).
   size_t shard_count() const { return shards_.size(); }
-  /// Stable shard index of `queue` (FNV-1a of the name, mod
-  /// shard_count). Exposed so tests and benches can construct queue
-  /// names that do / don't share a shard.
+  /// Stable shard index of `queue` (an FNV-1a hash of the name, mod
+  /// shard_count; the placement is part of the on-disk format). Exposed
+  /// so tests and benches can construct queue names that do / don't
+  /// share a shard.
   size_t shard_of(const std::string& queue) const {
     return ShardIndexOf(queue);
   }
@@ -264,9 +266,10 @@ class QueueRepository final : public txn::StoreHost {
   // ---- txn::StoreHost ---------------------------------------------------
   // Transactional operations enlist the repository itself. As the only
   // participant it commits one-phase through CommitAcross: one force
-  // per shard touched, no decision record. Beside other participants
-  // it fans the coordinator's 2PC out to the involved shards. A hosted
-  // store's write set goes into the last involved shard's part.
+  // however many shards it touches, and no decision log. Beside other
+  // participants it fans the coordinator's 2PC out to the involved
+  // shards. A hosted store's write set goes into the last involved
+  // shard's part.
   std::string_view rm_name() const override { return name_; }
   Status Prepare(txn::TxnId txn) override;
   Status CommitTxn(txn::TxnId txn) override;
@@ -289,6 +292,12 @@ class QueueRepository final : public txn::StoreHost {
   }
   /// Physical WAL bytes, summed across the shard WAL streams.
   uint64_t wal_bytes() const;
+  /// The error that poisoned a shard's WAL (see wal::LogWriter), from
+  /// the lowest-numbered failed shard; OK while every shard is healthy.
+  /// `shard`, when non-null, receives that shard's index. Once it is
+  /// set, commits that log on that shard fail, and memory may hold
+  /// effects the log lost: the owner should stop and recover.
+  Status wal_error(size_t* shard = nullptr) const;
   /// Failed RemoveFile calls on the retirement/GC path (checkpoint
   /// retiring the previous generation, recovery GC). Nonzero means
   /// orphan files may be accumulating; the crash sweep asserts on it.
@@ -411,18 +420,28 @@ class QueueRepository final : public txn::StoreHost {
   struct PendingTxn {
     std::vector<MicroOp> ops;
     std::vector<LockedRef> locked;
+    // Voted yes in an outside coordinator's 2PC (Shard::Prepare).
     bool prepared = false;
     // A cross-shard part whose coordinator has logged the commit; its
-    // marker and apply are still to come (CommitAcross phase 3).
+    // marker and apply are still to come (CommitAcross phase 2).
     bool decided = false;
   };
+
+  // A shard's part of a cross-shard commit, read at recovery from the
+  // coordinator's decision record. `stamp` (the decision's eid
+  // watermark) orders decisions that share a shard.
+  struct DecidedPart {
+    uint64_t stamp = 0;
+    std::vector<MicroOp> ops;
+  };
+  using DecidedParts = std::unordered_map<txn::TxnId, DecidedPart>;
 
   // One shard: a slice of the queue namespace with its own lock, WAL
   // stream, pending-transaction table, and triggers. Defined in the
   // .cc.
   struct Shard;
-  // Per-shard recovery scratch (leftover prepared transactions and
-  // commit-record ids seen), merged after the parallel replay.
+  // Per-shard recovery scratch (decided parts read from other shards'
+  // WALs, leftover prepared transactions, commit-record ids seen).
   struct ShardRecovery;
   // A reserved replication-delivery slot on one shard (sink calls must
   // arrive in apply order; see DeliverReplica).
@@ -455,11 +474,16 @@ class QueueRepository final : public txn::StoreHost {
   };
   void EncodeRecord(unsigned char type, txn::TxnId id,
                     const std::vector<MicroOp>& ops, std::string* out) const;
+  // One record of several op lists in order (a cross-shard decision).
+  void EncodeRecordParts(unsigned char type, txn::TxnId id,
+                         std::span<const std::vector<MicroOp>* const> parts,
+                         std::string* out) const;
   static Status DecodeRecord(Slice input, Record* out);
   // Logs and applies an auto-committed op list, routing it to
   // CommitOnShard or, when it spans shards, CommitAcross. `record`
-  // may carry pre-encoded bytes to log verbatim (replicated records);
-  // empty means encode from `ops`. Takes shard locks itself.
+  // may carry pre-encoded bytes for a single-shard commit to log
+  // verbatim (replicated records); empty means encode from `ops`.
+  // Takes shard locks itself.
   Status AutoCommit(std::vector<MicroOp> ops, std::string record = "",
                     bool evaluate_reactions = true);
   // A commit staged under one shard lock, handed off to FinishCommit
@@ -480,9 +504,10 @@ class QueueRepository final : public txn::StoreHost {
   // First half of every single-shard commit, run under the shard lock
   // (REQUIRES(s->mu) on the definition): appends the record, applies
   // the ops, reserves the replication ticket. `record` as in
-  // AutoCommit, or a 2PC commit marker, which logs no ops. The record
-  // is logged when the ops need it, or always with `must_log` (a
-  // cross-shard decision whose other parts were logged). The caller
+  // AutoCommit, a 2PC commit marker, which logs no ops, or a
+  // cross-shard decision. The record is logged when the ops need it, or
+  // always with `must_log` (a decision whose other parts need it). The
+  // caller
   // releases the lock and passes `out` to FinishCommit. On error
   // nothing was applied and `out` needs no cleanup. The dequeue, kill,
   // transaction-commit and abort paths call this directly so
@@ -504,16 +529,15 @@ class QueueRepository final : public txn::StoreHost {
   // transaction touched no queue).
   void AttachRedo(txn::TxnId id, std::vector<Shard*>* involved);
   // The one commit of a pending transaction `id` over `involved`
-  // (ascending, non-empty; the last is the coordinator), one force per
-  // shard: each other shard logs its part as a synced prepare, then
-  // the coordinator logs one committed record with the id and its own
-  // part and syncs it, then each other shard logs an unsynced commit
-  // marker and applies its part. One replicated record carries every
-  // part: `record`, or encoded here when empty. Recovery commits the
-  // parts iff the decision or a marker survived. On a failure before
+  // (ascending, non-empty; the last is the coordinator), with one
+  // force: under every involved lock the coordinator logs one committed
+  // record carrying the id and every part, the decision, and syncs it;
+  // then each other shard logs an unsynced commit marker and applies
+  // its part. The decision is also the one replicated record. Recovery
+  // commits every part iff the decision survived. On a failure before
   // the decision every part is aborted.
   Status CommitAcross(txn::TxnId id, std::vector<Shard*> involved,
-                      std::string record, bool evaluate_reactions);
+                      bool evaluate_reactions);
   // Buffers ops under txn `t` and enlists the repository with the
   // transaction. Takes shard locks itself.
   void BufferTxnOps(txn::Transaction* t, std::vector<MicroOp> ops,
@@ -570,7 +594,13 @@ class QueueRepository final : public txn::StoreHost {
   // records (nothing without a store). Call under every shard lock.
   void EncodeStoreState(std::vector<std::string>* records) const;
   Status LoadShardCheckpoint(Shard* s, uint64_t generation);
-  // Loads the shard's checkpoint slice, then replays its WAL.
+  // Recovery pass 1: files every other shard's part of each decision in
+  // shard `shard`'s WAL under (*parts)[that shard].
+  Status ReadDecidedParts(size_t shard, uint64_t generation,
+                          std::vector<DecidedParts>* parts) const;
+  // Pass 2: loads the shard's checkpoint slice, then replays its WAL,
+  // applying each of `rec->decided` at its marker, or after the WAL in
+  // decision order when the marker was lost.
   Status RecoverShard(Shard* s, uint64_t generation, ShardRecovery* rec);
   std::string WalPath(uint64_t g, size_t shard) const;
   std::string CheckpointPath(uint64_t g, size_t shard) const;

@@ -123,8 +123,8 @@ Status ReplicaApplier::HandleShip(uint64_t stream, Slice* body,
     *watermark = applied;
     return Status::FailedPrecondition("sequence gap; rewind to watermark");
   }
-  // One commit for the whole batch: the backup forces once per shard
-  // the batch touches, not once per record.
+  // One commit for the whole batch: the backup forces once per batch,
+  // not once per record.
   const uint64_t end = first_seq + records.size();
   const uint64_t fresh_from = std::min(std::max(first_seq, applied + 1), end);
   Status s = options_.repo->ApplyReplicatedBatch(records, first_seq);

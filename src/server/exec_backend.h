@@ -17,8 +17,9 @@ namespace rrq::server {
 /// coordinator in <dir>/txn, the queue repository in <dir>/qm, and the
 /// demo database, a KvStore hosted on that repository. The database
 /// keeps no files: its writes ride the queue log and its replication
-/// stream, so a server transaction commits with one force per queue
-/// shard it touches and a backup's database follows its primary's.
+/// stream, so a server transaction commits with one force however many
+/// queue shards it touches, and a backup's database follows its
+/// primary's.
 class ExecBackend {
  public:
   ExecBackend() = default;

@@ -83,9 +83,10 @@ TEST(CrashSweepTest, TornWritesPerOpSync) {
 // crash-before-op. The request and reply queues sit on different
 // shards (the harness refuses otherwise), so every server transaction
 // is a cross-shard commit carrying the hosted store's writes. Recovery
-// must resolve cross-shard prepares atomically, replay the store's
-// stamped writes across shards in any order, and the GC must retire
-// per-shard orphan generations — CheckGenerationFileSet asserts no
+// must apply every part of a surviving decision and none of a lost
+// one, whichever markers survived, replay the store's stamped writes
+// across shards in any order, and the GC must retire per-shard orphan
+// generations — CheckGenerationFileSet asserts no
 // WAL-<g>-<s>/CHECKPOINT-<g>-<s> stragglers survive.
 TEST(CrashSweepTest, ShardedEveryCrashPointRecovers) {
   SweepConfig config;

@@ -3,24 +3,28 @@
 // hosted on it). The Fig 5 lifecycle has three commit points — the
 // clerk's Send, the server transaction {dequeue; count the execution
 // in the database; enqueue the reply}, and the clerk's Receive — and
-// each must cost one force per queue shard it touches: 3 syncs per
-// request when the request and reply queues share a shard, 4 when
-// they do not. The database and the decision log never force: the
+// each must cost one force however many queue shards it touches: 3
+// syncs per request whether or not the request and reply queues share
+// a shard. The database and the decision log never force: the
 // database's writes ride the queue log, and a transaction over one
-// repository commits one-phase.
+// repository commits one-phase. A backup applying a shipped batch
+// forces once too, however many of its shards the batch touches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "client/clerk.h"
 #include "env/faulty_env.h"
 #include "env/mem_env.h"
 #include "queue/envelope.h"
 #include "queue/queue_api.h"
+#include "queue/queue_repository.h"
 #include "server/exec_backend.h"
 #include "server/server.h"
 
@@ -121,9 +125,61 @@ TEST_F(ForceCountTest, OneShardRequestCostsThreeForces) {
   ExpectOnlyQueueLogSynced();
 }
 
-TEST_F(ForceCountTest, TwoShardRequestCostsFourForces) {
-  EXPECT_EQ(LifecycleSyncs(ReplyQueue(/*same_shard=*/false)), 4);
+TEST_F(ForceCountTest, TwoShardRequestCostsThreeForces) {
+  EXPECT_EQ(LifecycleSyncs(ReplyQueue(/*same_shard=*/false)), 3);
   ExpectOnlyQueueLogSynced();
+}
+
+TEST(BackupForceCountTest, BatchOverEveryShardCostsOneForce) {
+  // The primary ships one record per enqueue, one enqueue per shard.
+  std::vector<std::string> shipped;
+  queue::RepositoryOptions primary_options;
+  primary_options.shards = 4;
+  primary_options.replication_sink = [&shipped](const Slice& record) {
+    shipped.push_back(record.ToString());
+    return Status::OK();
+  };
+  queue::QueueRepository primary("primary", primary_options);
+  ASSERT_TRUE(primary.Open().ok());
+  // queues[i] is the first "q<n>" on shard i.
+  std::vector<std::string> queues(4);
+  for (int n = 0; std::count(queues.begin(), queues.end(), "") > 0; ++n) {
+    const std::string name = "q" + std::to_string(n);
+    std::string& slot = queues[primary.shard_of(name)];
+    if (slot.empty()) slot = name;
+  }
+  for (const std::string& q : queues) ASSERT_TRUE(primary.CreateQueue(q).ok());
+  const size_t created = shipped.size();
+  for (const std::string& q : queues) {
+    ASSERT_TRUE(primary.Enqueue(nullptr, q, "x").ok());
+  }
+  ASSERT_EQ(shipped.size(), created + 4);
+
+  env::MemEnv mem;
+  env::FaultyEnv env(&mem);
+  queue::RepositoryOptions backup_options;
+  backup_options.env = &env;
+  backup_options.dir = "/backup";
+  backup_options.shards = 4;
+  queue::QueueRepository backup("backup", backup_options);
+  ASSERT_TRUE(backup.Open().ok());
+  ASSERT_TRUE(
+      backup
+          .ApplyReplicatedBatch(
+              std::vector<std::string>(shipped.begin(),
+                                       shipped.begin() + created),
+              1)
+          .ok());
+  const uint64_t before = env.sync_count();
+  ASSERT_TRUE(backup
+                  .ApplyReplicatedBatch(
+                      std::vector<std::string>(
+                          shipped.begin() + created, shipped.end()),
+                      created + 1)
+                  .ok());
+  EXPECT_EQ(env.sync_count() - before, 1u);
+  for (const std::string& q : queues) EXPECT_EQ(*backup.Depth(q), 1u) << q;
+  EXPECT_EQ(backup.applied_repl_seq(), shipped.size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1305,8 +1306,8 @@ TEST_F(ShardedRepositoryTest, ReplicaSeedDuringCrossShardCommitHoldsEveryPart) {
 }
 
 // A hosted store's writes commit in the coordinator's record: a
-// spanning transaction forces once per shard it touches, and the
-// store recovers from the repository's log alone.
+// spanning transaction forces once, and the store recovers from the
+// repository's log alone.
 TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
   env::FaultyEnv env(&env_);
   RepositoryOptions options;
@@ -1332,8 +1333,8 @@ TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
   ASSERT_TRUE(db->Delete(txn.get(), "gone").ok());
   ASSERT_TRUE(repo->Enqueue(txn.get(), qb, "y").ok());
   ASSERT_TRUE(txn->Commit().ok());
-  // Shard 1's prepare, shard 3's decision.
-  EXPECT_EQ(env.sync_count() - before, 2u);
+  // Shard 3's decision, which carries shard 1's part too.
+  EXPECT_EQ(env.sync_count() - before, 1u);
   EXPECT_EQ(*db->GetCommitted("k"), "v");
 
   // A transaction that writes only the store still commits (one force).
@@ -1371,6 +1372,187 @@ TEST_F(ShardedRepositoryTest, HostedStoreCommitsThroughQueueLog) {
   repo.reset();
   QueueRepository bare("hs", options);
   EXPECT_TRUE(bare.Open().IsFailedPrecondition());
+}
+
+// §7's cancellation window closes at the decision: a part that its
+// coordinator's record already committed must not be killed while its
+// own shard has yet to apply it.
+TEST_F(ShardedRepositoryTest, KillFailsOnceDecided) {
+  const std::string qa = NameOnShard(0);
+  const std::string qb = NameOnShard(2);  // The coordinator: last shard.
+  bool armed = false;
+  std::optional<Result<bool>> killed;
+  QueueRepository* live = nullptr;
+  ElementId eid = kInvalidElementId;
+  env::FaultConfig hook;
+  hook.on_sync = [&](const std::string& path) {
+    // The decision's force: cancel the request before phase 2 applies
+    // the dequeue on shard 0.
+    if (armed && path == "/kd/WAL-0-2") {
+      armed = false;
+      killed = live->KillElement(nullptr, qa, eid);
+    }
+  };
+  env::FaultyEnv env(&env_, hook);
+  RepositoryOptions options;
+  options.env = &env;
+  options.dir = "/kd";
+  options.shards = 4;
+  QueueRepository repo("kd", options);
+  live = &repo;
+  ASSERT_TRUE(repo.Open().ok());
+  ASSERT_TRUE(repo.CreateQueue(qa).ok());
+  ASSERT_TRUE(repo.CreateQueue(qb).ok());
+  eid = *repo.Enqueue(nullptr, qa, "request");
+
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo.Dequeue(txn.get(), qa).ok());
+  ASSERT_TRUE(repo.Enqueue(txn.get(), qb, "reply").ok());
+  armed = true;
+  ASSERT_TRUE(txn->Commit().ok());
+  ASSERT_TRUE(killed.has_value()) << "the decision never synced";
+  ASSERT_TRUE(killed->ok()) << killed->status().ToString();
+  EXPECT_FALSE(**killed) << "a committed request was also cancelled";
+  EXPECT_EQ(*repo.Depth(qb), 1u);
+}
+
+// The decision is a cross-shard commit's one force; the other shards'
+// markers are never synced by the commit itself. A crash right after it
+// loses every marker, and recovery must read each part from the
+// coordinator's record.
+TEST_F(ShardedRepositoryTest, DecisionWithoutMarkersRecoversEveryPart) {
+  const std::string qa = NameOnShard(0);
+  const std::string qb = NameOnShard(1);
+  const std::string qc = NameOnShard(3);  // The coordinator: last shard.
+  for (const std::string& q : {qa, qb, qc}) {
+    ASSERT_TRUE(repo_->CreateQueue(q).ok());
+  }
+  ASSERT_TRUE(repo_->Enqueue(nullptr, qa, "request").ok());
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo_->Dequeue(txn.get(), qa).ok());
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), qb, "b").ok());
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), qc, "c").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  env_.SimulateCrash();
+
+  auto recovered = MakeRepo(4);
+  EXPECT_EQ(*recovered->Depth(qa), 0u);
+  EXPECT_EQ(recovered->Dequeue(nullptr, qb)->contents, "b");
+  EXPECT_EQ(recovered->Dequeue(nullptr, qc)->contents, "c");
+}
+
+// A part applies at its marker, not at the end of its shard's replay:
+// a later record on that shard — here a synced dequeue, whose force
+// also made the marker durable — may depend on it.
+TEST_F(ShardedRepositoryTest, RecordAfterMarkerSeesThePart) {
+  const std::string qb = NameOnShard(0);
+  const std::string qc = NameOnShard(2);  // The coordinator.
+  ASSERT_TRUE(repo_->CreateQueue(qb).ok());
+  ASSERT_TRUE(repo_->CreateQueue(qc).ok());
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), qb, "element").ok());
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), qc, "other").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  auto consumed = repo_->Dequeue(nullptr, qb);
+  ASSERT_TRUE(consumed.ok());
+  EXPECT_EQ(consumed->contents, "element");
+  env_.SimulateCrash();
+
+  auto recovered = MakeRepo(4);
+  EXPECT_EQ(*recovered->Depth(qb), 0u) << "a consumed element came back";
+  EXPECT_EQ(*recovered->Depth(qc), 1u);
+}
+
+// Parts whose markers were lost apply in decision order, which need
+// not be transaction-id order: the second decision, under the older
+// transaction id and another coordinator, consumes the first's element.
+TEST_F(ShardedRepositoryTest, LostMarkersApplyInDecisionOrder) {
+  const std::string qb = NameOnShard(0);
+  const std::string qa = NameOnShard(2);
+  const std::string qc = NameOnShard(3);
+  for (const std::string& q : {qa, qb, qc}) {
+    ASSERT_TRUE(repo_->CreateQueue(q).ok());
+  }
+  auto second = txn_mgr_->Begin();
+  auto first = txn_mgr_->Begin();
+  ASSERT_LT(second->id(), first->id());
+  ASSERT_TRUE(repo_->Enqueue(first.get(), qb, "element").ok());
+  ASSERT_TRUE(repo_->Enqueue(first.get(), qa, "a").ok());
+  ASSERT_TRUE(first->Commit().ok());  // Coordinator: shard 2.
+  auto taken = repo_->Dequeue(second.get(), qb);
+  ASSERT_TRUE(taken.ok());
+  EXPECT_EQ(taken->contents, "element");
+  ASSERT_TRUE(repo_->Enqueue(second.get(), qc, "c").ok());
+  ASSERT_TRUE(second->Commit().ok());  // Coordinator: shard 3.
+  env_.SimulateCrash();  // Drops both markers on shard 0.
+
+  auto recovered = MakeRepo(4);
+  EXPECT_EQ(*recovered->Depth(qb), 0u) << "a consumed element came back";
+  EXPECT_EQ(*recovered->Depth(qa), 1u);
+  EXPECT_EQ(*recovered->Depth(qc), 1u);
+}
+
+// A part of only volatile element traffic logs no marker, and recovery
+// must not replay it from the decision either: the volatile element was
+// consumed before the crash by a dequeue that was never logged.
+TEST_F(ShardedRepositoryTest, ConsumedVolatilePartStaysGone) {
+  const std::string scratch = NameOnShard(0);
+  const std::string qc = NameOnShard(2);  // The coordinator.
+  QueueOptions vopts;
+  vopts.durable = false;
+  ASSERT_TRUE(repo_->CreateQueue(scratch, vopts).ok());
+  ASSERT_TRUE(repo_->CreateQueue(qc).ok());
+  auto txn = txn_mgr_->Begin();
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), scratch, "ephemeral").ok());
+  ASSERT_TRUE(repo_->Enqueue(txn.get(), qc, "durable").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  ASSERT_TRUE(repo_->Dequeue(nullptr, scratch).ok());
+  env_.SimulateCrash();
+
+  auto recovered = MakeRepo(4);
+  EXPECT_EQ(*recovered->Depth(scratch), 0u) << "a consumed element came back";
+  EXPECT_EQ(*recovered->Depth(qc), 1u);
+}
+
+// Queue placement is part of the on-disk format: a sharded directory's
+// WAL streams hold each queue on the shard this hash picked when it was
+// logged. These are rrqd's default queue names.
+TEST_F(ShardedRepositoryTest, ShardPlacementIsPinned) {
+  EXPECT_EQ(repo_->shard_of("requests"), 1u);
+  EXPECT_EQ(repo_->shard_of("reply.bench-0"), 0u);
+  EXPECT_EQ(repo_->shard_of("reply.bench-1"), 3u);
+  EXPECT_EQ(repo_->shard_of("reply.bench-2"), 2u);
+  EXPECT_EQ(repo_->shard_of("reply.bench-3"), 1u);
+}
+
+// Fail-stop: a failed sync poisons its shard's WAL. The repository
+// reports it, and commits that log on that shard keep failing after
+// the disk recovers, so nothing is acknowledged on top of lost bytes.
+TEST_F(ShardedRepositoryTest, FailedSyncStopsItsShard) {
+  env::FaultConfig config;
+  config.sync_failure_one_in = 1;
+  env::FaultyEnv env(&env_, config);
+  env.SetFaultsSuppressed(true);
+  RepositoryOptions options;
+  options.env = &env;
+  options.dir = "/fs";
+  options.shards = 4;
+  QueueRepository repo("fs", options);
+  ASSERT_TRUE(repo.Open().ok());
+  const std::string qa = NameOnShard(1);
+  const std::string qb = NameOnShard(2);
+  ASSERT_TRUE(repo.CreateQueue(qa).ok());
+  ASSERT_TRUE(repo.CreateQueue(qb).ok());
+  EXPECT_TRUE(repo.wal_error().ok());
+
+  env.SetFaultsSuppressed(false);
+  EXPECT_TRUE(repo.Enqueue(nullptr, qa, "lost").status().IsIOError());
+  env.SetFaultsSuppressed(true);
+  size_t shard = 0;
+  EXPECT_TRUE(repo.wal_error(&shard).IsIOError());
+  EXPECT_EQ(shard, 1u);
+  EXPECT_FALSE(repo.Enqueue(nullptr, qa, "later").ok());
+  EXPECT_TRUE(repo.Enqueue(nullptr, qb, "elsewhere").ok());
 }
 
 TEST_F(ShardedRepositoryTest, DequeueFromSetScansAcrossShards) {

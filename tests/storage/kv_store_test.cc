@@ -20,10 +20,12 @@ class KvStoreTest : public ::testing::Test {
     store_ = MakeStore();
   }
 
-  std::unique_ptr<KvStore> MakeStore() {
+  std::unique_ptr<KvStore> MakeStore(
+      uint64_t lock_timeout_micros = KvStoreOptions().lock_timeout_micros) {
     KvStoreOptions options;
     options.env = &env_;
     options.dir = "/kv";
+    options.lock_timeout_micros = lock_timeout_micros;
     auto store = std::make_unique<KvStore>("kv", options);
     EXPECT_TRUE(store->Open().ok());
     return store;
@@ -78,6 +80,9 @@ TEST_F(KvStoreTest, AbortDiscardsWrites) {
 }
 
 TEST_F(KvStoreTest, UncommittedWritesInvisibleToOthers) {
+  // The reader below waits out the lock timeout; keep it short.
+  store_.reset();
+  store_ = MakeStore(/*lock_timeout_micros=*/50'000);
   auto writer = txn_mgr_->Begin();
   ASSERT_TRUE(store_->Put(writer.get(), "k", "v").ok());
   EXPECT_TRUE(store_->GetCommitted("k").status().IsNotFound());
